@@ -67,7 +67,7 @@ from repro.core.topology import social_positions
 from repro.errors import EvaluationError, GraphReplayError, InvalidParameterError
 from repro.functions.inplace import make_inplace_evaluator
 from repro.gpusim.costmodel import kernel_cost
-from repro.gpusim.graph import LaunchGraph
+from repro.gpusim.graph import LaunchGraph, trace_iteration
 from repro.gpusim.launch import resource_aware_config
 
 __all__ = [
@@ -84,9 +84,10 @@ __all__ = [
 FUSABLE_ENGINES = frozenset({"fastpso", "gpu-pso"})
 
 #: Solo iterations a member runs before stacking: the launch-graph lifecycle
-#: needs warmup/capture/validate/first-replay; an eager member needs
-#: warmup (allocator pool misses) plus an externally traced capture and
-#: validate pair.
+#: pinned to the Python replay tier (``allow_native = False``, so validate
+#: never promotes) needs warmup/capture/validate/first-replay; an eager
+#: member needs warmup (allocator pool misses) plus an externally traced
+#: capture and validate pair.
 RAMP_GRAPH = 4
 RAMP_EAGER = 3
 
@@ -195,25 +196,6 @@ class _Member:
     @property
     def engine(self):
         return self.run.engine
-
-
-def _traced_semantics(run, t):
-    """One externally traced ``run_semantics`` call (the eager-member analogue
-    of :meth:`IterationRunner._run_traced`): returns ``(trace, launches,
-    rng_blocks)``."""
-    engine = run.engine
-    launcher = engine.ctx.launcher
-    clock = engine.clock
-    captured: list = []
-    launcher.capture = captured
-    clock.begin_trace()
-    before = run.rng.position
-    try:
-        run.run_semantics(t)
-    finally:
-        trace = clock.end_trace()
-        launcher.capture = None
-    return trace, captured, run.rng.position - before
 
 
 def _build_spec_map(engine) -> dict:
@@ -337,6 +319,12 @@ class FusedGroupRunner:
         iterations.
         """
         run = member.run
+
+        def traced() -> LaunchGraph:
+            return trace_iteration(
+                run.engine, run.rng, lambda: run.run_semantics(member.t)
+            )
+
         if member.remaining < RAMP_EAGER + 1:
             member.solo_reason = "too-few-iterations"
             # Not enough headroom to capture, validate and still profit.
@@ -346,19 +334,13 @@ class FusedGroupRunner:
         if member.stopped:
             member.solo_reason = "stopped-during-ramp"
             return None
-        trace, launches, blocks = _traced_semantics(run, member.t)
-        graph = LaunchGraph(trace=trace, launches=launches, rng_blocks=blocks)
+        graph = traced()
         member.stopped = run.after_iteration(member.t)
         member.t += 1
         if member.stopped:
             member.solo_reason = "stopped-during-ramp"
             return None
-        trace2, launches2, blocks2 = _traced_semantics(run, member.t)
-        ok = (
-            graph.trace_matches(trace2)
-            and graph.launches_match(launches2)
-            and graph.rng_blocks == blocks2
-        )
+        ok = graph.matches(traced())
         member.stopped = run.after_iteration(member.t)
         member.t += 1
         if not ok:

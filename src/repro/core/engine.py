@@ -526,11 +526,12 @@ class Engine(ABC):
     def _graph_build_native(self, graph, problem, params, state, rng):
         """Build the native (one-C-call-per-iteration) replay tier.
 
-        Called by :class:`~repro.gpusim.graph.IterationRunner` after the
-        first verified Python replay.  Returns either ``(step, verify)`` —
-        ``step()`` runs one full iteration through ``_fastpath.c`` and
-        ``verify(run_replay)`` shadow-checks one iteration bitwise before
-        promotion (see :func:`repro.gpusim.fastpath.verify_step`) — or a
+        Called by :class:`~repro.gpusim.graph.IterationRunner` with the
+        capture graph, before the validate iteration.  Returns either
+        ``(step, verify)`` — ``step()`` runs one full iteration through
+        ``_fastpath.c`` and ``verify(run_reference)`` shadow-checks the
+        validate iteration bitwise before promotion (see
+        :func:`repro.gpusim.fastpath.verify_step`) — or a
         reason string naming why this run is not native-eligible.  The base
         implementation opts out; engines whose captured iteration matches
         the fast path's shape (float32 global-memory storage, global

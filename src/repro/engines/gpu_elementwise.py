@@ -745,12 +745,10 @@ class FastPSOEngine(Engine):
         shared/tensorcore backends stage differently, fp16 double-rounds),
         global topology (the C step reads one gbest attractor row), and the
         capture's RNG consumption matching the two ``ceil(n*d/4)``-block
-        draws.  The clock/allocator accounting stays in Python: the step
-        performs the same section layout, the same ``advance`` sequence
-        (costs resolved through the same memoized front doors as replay,
-        so every float add is bitwise-equal) and real alloc/free calls for
-        the per-iteration weight buffers — only the array semantics move
-        into C.
+        draws.  The step replays the capture's own clock charges, so no
+        cost is re-derived here; the pool-hit alloc/free pair of the two
+        ``(n, d)`` weight buffers ``_update_swarm`` allocates each
+        iteration is folded into the captured allocator delta.
         """
         from repro.gpusim import fastpath
 
@@ -758,82 +756,10 @@ class FastPSOEngine(Engine):
             return f"native-unsupported-backend:{self.backend}"
         if self.storage_dtype != np.float32:
             return "native-unsupported-storage-dtype"
-        if params.topology != "global":
-            return f"native-unsupported-topology:{params.topology}"
-        lib = fastpath.load()
-        if lib is None:
-            return "native-unavailable"
-        n, d = state.n_particles, state.dim
-        if graph.rng_blocks != 2 * ((n * d + 3) // 4):
-            return "native-rng-shape-mismatch"
-
-        if "evaluate_particle" in self._kernels:
-            eval_kernel, eval_cost, _ = self._plan_launch(
-                "evaluate_particle", n, "eval"
-            )
-        else:
-            eval_kernel, eval_cost, _ = self._plan_launch(
-                "evaluate", n * d, "eval"
-            )
-        eval_sem = eval_kernel.semantics
-        _, pbest_cost, _ = self._plan_launch("pbest", n, "pbest")
-        _, argmin_launches = self.ctx.reducer.prebound_argmin(n)
-        gbest_seconds = [entry[4].seconds for entry in argmin_launches]
-        _, weights_cost, _ = self._plan_launch("weights_rng", 2 * n * d, "swarm")
-        if self.fuse_update:
-            _, fused_cost, _ = self._plan_launch("fused_update", n * d, "swarm")
-            update_seconds = (fused_cost.seconds,)
-        else:
-            _, vel_cost, _ = self._plan_launch("velocity", n * d, "swarm")
-            _, pos_cost, _ = self._plan_launch("position", n * d, "swarm")
-            update_seconds = (vel_cost.seconds, pos_cost.seconds)
-        eval_s = eval_cost.seconds
-        pbest_s = pbest_cost.seconds
-        weights_s = weights_cost.seconds
-
-        l_w = self._ws.array("l_weights", (n, d), np.float32)
-        g_w = self._ws.array("g_weights", (n, d), np.float32)
-        pos_bounds = None
-        if params.clip_positions:
-            pos_bounds = (problem.lower_bounds, problem.upper_bounds)
-        plan = fastpath.NativePlan(lib, state, rng, l_w, g_w, params, pos_bounds)
-        clock = self.clock
-        alloc = self.ctx.allocator
-
-        def step() -> None:
-            with clock.section("eval"):
-                values = eval_sem(state.positions)
-                clock.advance(eval_s)
-            p = self._scheduled_params(params)
-            vb = self._current_velocity_bounds(problem, p)
-            vlo = vhi = None
-            if vb is not None:
-                vlo = vb[0].astype(np.float32)
-                vhi = vb[1].astype(np.float32)
-            improved = plan.step(values, float(p.inertia), vlo, vhi)
-            with clock.section("pbest"):
-                clock.advance(pbest_s)
-                self._charge_pbest_copy(improved, d)
-            with clock.section("gbest"):
-                for s in gbest_seconds:
-                    clock.advance(s)
-            with clock.section("swarm"):
-                l_buf = alloc.alloc_like((n, d), np.float32)
-                g_buf = alloc.alloc_like((n, d), np.float32)
-                try:
-                    clock.advance(weights_s)
-                    for s in update_seconds:
-                        clock.advance(s)
-                finally:
-                    alloc.free(l_buf)
-                    alloc.free(g_buf)
-
-        def verify(run_replay) -> bool:
-            return fastpath.verify_step(
-                plan, run_replay, eval_sem, self, problem, params
-            )
-
-        return step, verify
+        kernel = self._kernels.get("evaluate_particle") or self._kernels["evaluate"]
+        return fastpath.build_native(
+            self, graph, problem, params, state, rng, kernel.semantics
+        )
 
     def _warm_resume(
         self, problem: Problem, params: PSOParams, n_particles: int

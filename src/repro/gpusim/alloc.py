@@ -20,7 +20,8 @@ raised identically regardless of pooling.  The pooling logic itself is real
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,7 +119,7 @@ class _AllocatorBase:
 
     def alloc_like(self, shape: tuple[int, ...], dtype: np.dtype) -> DeviceBuffer:
         """Allocate a buffer sized for ``shape`` of ``dtype``."""
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         return self.alloc(nbytes, shape=shape, dtype=dtype)
 
     # subclasses implement alloc/free
@@ -202,6 +203,29 @@ class CachingAllocator(_AllocatorBase):
         self._pools.setdefault(buf.nbytes, []).append(buf)
         self.clock.advance(_POOL_RELEASE_OVERHEAD_S)
         self.stats.frees += 1
+
+    def fold_hits(self, nbytes_class: int, delta: AllocatorStats) -> bool:
+        """Account pool-hit allocations of one size class without the calls.
+
+        Applies *delta* (``delta.allocs`` hits freed again in allocation
+        order, no misses) to the statistics and leaves the class's free list
+        as those alloc/free calls would: its last ``delta.allocs`` blocks
+        reversed.  Clock charges are the caller's.  Returns ``False``, and
+        changes nothing, when the class holds too few pooled blocks for
+        every allocation to hit or a fault injector must see the calls.
+        """
+        pool = self._pools.get(nbytes_class)
+        k = delta.allocs
+        if pool is None or len(pool) < k or self.fault_injector is not None:
+            return False
+        top = len(pool) - k
+        pool[top:] = pool[top:][::-1]
+        stats = self.stats
+        stats.allocs += k
+        stats.frees += delta.frees
+        stats.pool_hits += delta.pool_hits
+        stats.bytes_requested += delta.bytes_requested
+        return True
 
     @property
     def pooled_bytes(self) -> int:

@@ -80,6 +80,20 @@ class SimClock:
             self._trace.append((label, seconds, True))
         return self.now
 
+    def add_charges(self, charges: list[tuple[str, float]]) -> None:
+        """Apply ``(section, seconds)`` charges as that sequence of
+        :meth:`advance` calls would — the same float additions, in order —
+        but in one call (the native tier replays a captured iteration's
+        static charges this way).  Each label must already have a total.
+        """
+        now, totals = self.now, self.section_totals
+        for label, seconds in charges:
+            now += seconds
+            totals[label] += seconds
+        self.now = now
+        if self._trace is not None:
+            self._trace.extend((label, s, False) for label, s in charges)
+
     def begin_trace(self) -> None:
         """Start recording every advance (see class docstring)."""
         self._trace = []

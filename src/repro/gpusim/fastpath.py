@@ -8,16 +8,20 @@ This module compiles that body (``_fastpath.c``, via the shared
 operating in place on the run's stable buffers, and provides:
 
 * :class:`NativePlan` — the per-run binding: a C-side ``fastpath_plan``
-  struct built once at plan-install time from the swarm state, the
-  workspace weight buffers and the RNG key schedule, plus the per-call
-  :meth:`~NativePlan.step` that syncs the scalar gbest fields in/out and
-  advances the Philox cursor;
-* :func:`verify_step` — the promotion gate used by
-  :class:`~repro.gpusim.graph.IterationRunner`: it runs the *trusted*
-  Python replay on the real state and the C step on shadow copies of the
-  pre-iteration state, then compares every output buffer bitwise.  The
-  real run is therefore never touched by unverified native code; any
-  mismatch simply keeps the run on the Python replay tier.
+  struct built once from the swarm state, the workspace weight buffers and
+  the RNG key schedule, plus the per-call :meth:`~NativePlan.step` that
+  syncs the scalar gbest fields in/out and advances the Philox cursor;
+* :func:`build_native` — the native tier's iteration, shared by both
+  engine families: evaluate, one :meth:`NativePlan.step`, then one pass
+  over the capture's ``(section, seconds)`` charges (the eager float
+  additions, in order), with the dynamic pbest-copy slot charged live and
+  a GPU engine's pool-hit alloc/free pair folded into the captured
+  allocator delta;
+* :func:`verify_step` — the promotion gate used on the validate iteration:
+  the *trusted* traced eager iteration runs on the real state, the C step
+  on shadow copies of the pre-iteration state, and every output buffer
+  must match bitwise.  Unverified native code never touches the real run;
+  a mismatch keeps it on the Python replay tier.
 
 Bit-parity contract: the C step performs, per element, the exact IEEE
 operation sequence of the NumPy scratch fast path (see ``_fastpath.c``),
@@ -38,8 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.gpusim import native
+from repro.gpusim.alloc import AllocatorStats, CachingAllocator, size_class
 
-__all__ = ["load", "available", "NativePlan", "verify_step", "ENV_GATE"]
+__all__ = ["load", "available", "NativePlan", "build_native", "verify_step", "ENV_GATE"]
 
 ENV_GATE = "REPRO_NO_NATIVE_FASTPATH"
 
@@ -271,8 +276,8 @@ def available() -> bool:
 class NativePlan:
     """The per-run native binding: one struct, one hot call per iteration.
 
-    Built by an engine's ``_graph_build_native`` hook after the first
-    verified Python replay.  The struct holds raw addresses of the run's
+    Built by :func:`build_native` from the capture, before the validate
+    iteration.  The struct holds raw addresses of the run's
     stable buffers (swarm matrices, workspace weight buffers, RNG key
     schedule) plus three small plan-owned buffers for the scalar gbest
     fields; :meth:`step` syncs those scalars from/to the ``SwarmState``
@@ -379,32 +384,130 @@ class NativePlan:
         return int(improved)
 
 
-def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) -> bool:
-    """Promotion gate: replay the real iteration, shadow-run the C step.
+def _step_inputs(engine, problem, params):
+    """``(w, vlo, vhi)``: the scheduled inertia and the current velocity
+    bounds as float32 (``None`` when unclamped)."""
+    p = engine._scheduled_params(params)
+    vb = engine._current_velocity_bounds(problem, p)
+    if vb is None:
+        return float(p.inertia), None, None
+    return float(p.inertia), vb[0].astype(np.float32), vb[1].astype(np.float32)
 
-    Snapshots the pre-iteration state, lets the *trusted* Python replay
-    mutate the real run, then executes the C step on the shadow copies
-    (re-evaluating the objective on the pre-iteration positions — the
-    evaluators are pure by contract) and compares every output buffer
-    bitwise.  Returns ``True`` only on an exact match; the real run's
-    trajectory is identical either way.  Exceptions from the replay
-    propagate (they are real-run failures); exceptions from the shadow
-    path just return ``False``.
+
+def build_native(engine, graph, problem, params, state, rng, evaluate):
+    """The native tier's ``(step, verify)`` pair, or why the run is ineligible.
+
+    *graph* is the capture (:class:`~repro.gpusim.graph.LaunchGraph`) whose
+    charges the step replays; *evaluate* the objective semantics.  An
+    engine with a device allocator (``graph.alloc_delta`` is recorded)
+    allocates the float32 ``(n, d)`` weight buffers first in its last
+    section and frees them last, in allocation order.  Their pool-hit
+    alloc/free pair is folded into the captured allocator delta; real
+    alloc/free calls take their captured slots whenever the fold does not
+    hold (direct allocator, too few pooled blocks, a fault injector).
+    """
+    if params.topology != "global":
+        return f"native-unsupported-topology:{params.topology}"
+    lib = load()
+    if lib is None:
+        return "native-unavailable"
+    n, d = state.n_particles, state.dim
+    trace = graph.trace
+    if graph.rng_blocks != 2 * ((n * d + 3) // 4):
+        return "native-rng-shape-mismatch"
+    dynamic = [i for i, (_, _, is_dynamic) in enumerate(trace) if is_dynamic]
+    if len(dynamic) != 1 or any(label is None for label, _, _ in trace):
+        return "native-unsupported-trace"
+    dyn = dynamic[0]
+    dyn_label = trace[dyn][0]
+    charges = [(label, seconds) for label, seconds, _ in trace]
+    head, tail = charges[:dyn], charges[dyn + 1:]
+    alloc = None
+    if graph.alloc_delta is not None:
+        alloc, shape = engine.ctx.allocator, (n, d)
+        delta = AllocatorStats(*graph.alloc_delta)
+        k, last = delta.allocs, trace[-1][0]
+        first = next(i for i, (label, _, _) in enumerate(trace) if label == last)
+        end = len(trace) - k
+        if (
+            k < 1
+            or delta.frees != k
+            or delta.bytes_requested != k * n * d * 4
+            or first <= dyn
+            or end < first + k
+        ):
+            return "native-unsupported-trace"
+        before_alloc, between = charges[dyn + 1:first], charges[first + k:end]
+        nbytes_class = size_class(n * d * 4)
+        foldable = isinstance(alloc, CachingAllocator) and not delta.pool_misses
+
+    pos_bounds = None
+    if params.clip_positions:
+        pos_bounds = (problem.lower_bounds, problem.upper_bounds)
+    l_w = engine._ws.array("l_weights", (n, d), np.float32)
+    g_w = engine._ws.array("g_weights", (n, d), np.float32)
+    plan = NativePlan(lib, state, rng, l_w, g_w, params, pos_bounds)
+    clock, charge_dynamic = engine.clock, engine._charge_pbest_copy
+    fixed = None
+    if params.inertia_schedule is None and not params.adaptive_velocity:
+        fixed = _step_inputs(engine, problem, params)
+
+    def step() -> None:
+        values = evaluate(state.positions)
+        inputs = fixed or _step_inputs(engine, problem, params)
+        improved = plan.step(values, *inputs)
+        clock.add_charges(head)
+        with clock.section(dyn_label):
+            charge_dynamic(improved, d)
+        if alloc is None or (foldable and alloc.fold_hits(nbytes_class, delta)):
+            clock.add_charges(tail)
+            return
+        # No fold: real alloc/free calls in their captured slots.
+        clock.add_charges(before_alloc)
+        with clock.section(last):
+            buffers = [alloc.alloc_like(shape, np.float32) for _ in range(k)]
+            clock.add_charges(between)
+            for buf in buffers:
+                alloc.free(buf)
+
+    def verify(run_reference) -> bool:
+        return verify_step(plan, run_reference, evaluate, engine, problem, params)
+
+    return step, verify
+
+
+def verify_step(
+    plan: NativePlan, run_reference, eval_fn, engine, problem, params
+) -> bool:
+    """Promotion gate: run the real iteration, shadow-run the C step.
+
+    Snapshots the pre-iteration state, lets the *trusted* reference (the
+    validate iteration's traced eager body) mutate the real run, then
+    executes the C step on the shadow copies (re-evaluating the objective
+    on the pre-iteration positions — the evaluators are pure by contract)
+    and compares every output buffer bitwise.  Returns ``True`` only on an
+    exact match; the real run's trajectory is identical either way.
+    Exceptions from the reference propagate (they are real-run failures);
+    exceptions from the shadow path just return ``False``.
     """
     state, rng = plan.state, plan.rng
     n, d = plan.n, plan.d
-    pre_pos = state.positions.copy()
-    pre_vel = state.velocities.copy()
-    pre_pbv = state.pbest_values.copy()
-    pre_pbp = state.pbest_positions.copy()
+    def real():
+        return (
+            state.positions,
+            state.velocities,
+            state.pbest_values,
+            state.pbest_positions,
+            np.ascontiguousarray(state.gbest_position, dtype=np.float32),
+        )
+
+    pre_pos, pre_vel, pre_pbv, pre_pbp, pre_gpos = (a.copy() for a in real())
     pre_gval = float(state.gbest_value)
     pre_gidx = int(state.gbest_index)
-    pre_gpos = np.ascontiguousarray(state.gbest_position, dtype=np.float32).copy()
     pre_block = rng.position
-    p = engine._scheduled_params(params)
-    vb = engine._current_velocity_bounds(problem, p)
+    w, vlo, vhi = _step_inputs(engine, problem, params)
 
-    run_replay()
+    run_reference()
 
     try:
         if rng.position - pre_block != plan.blocks:
@@ -417,10 +520,6 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
             and values.shape == (n,)
         ):
             return False
-        vlo = vhi = None
-        if vb is not None:
-            vlo = vb[0].astype(np.float32)
-            vhi = vb[1].astype(np.float32)
         sh_l = np.empty((n, d), dtype=np.float32)
         sh_g = np.empty((n, d), dtype=np.float32)
         sh_gval = np.array([pre_gval], dtype=np.float64)
@@ -435,23 +534,18 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
             ctypes.addressof(struct),
             values.ctypes.data,
             pre_block,
-            float(p.inertia),
+            w,
             None if vlo is None else vlo.ctypes.data,
             None if vhi is None else vhi.ctypes.data,
         )
+        shadow = (pre_pos, pre_vel, pre_pbv, pre_pbp, pre_gpos, sh_l, sh_g)
         return (
-            pre_pos.tobytes() == state.positions.tobytes()
-            and pre_vel.tobytes() == state.velocities.tobytes()
-            and pre_pbv.tobytes() == state.pbest_values.tobytes()
-            and pre_pbp.tobytes() == state.pbest_positions.tobytes()
-            and sh_l.tobytes() == plan.l_weights.tobytes()
-            and sh_g.tobytes() == plan.g_weights.tobytes()
+            all(
+                a.tobytes() == b.tobytes()
+                for a, b in zip(shadow, (*real(), plan.l_weights, plan.g_weights))
+            )
             and float(sh_gval[0]) == state.gbest_value
             and int(sh_gidx[0]) == int(state.gbest_index)
-            and pre_gpos.tobytes()
-            == np.ascontiguousarray(
-                state.gbest_position, dtype=np.float32
-            ).tobytes()
         )
     except Exception:
         return False

@@ -16,49 +16,43 @@ The lifecycle, driven by :class:`IterationRunner`:
 ``capture``
     The second iteration runs eagerly with the clock trace and the
     launcher's capture sink attached, recording every clock charge
-    ``(section, seconds, dynamic)`` and every launch ``(kernel, section,
-    n_elems, config, cost)`` plus the iteration's RNG block consumption.
+    ``(section, seconds, dynamic)``, every launch ``(kernel, section,
+    n_elems, config, cost)``, the RNG block consumption and the allocator
+    statistics delta.
 ``validate``
-    The third iteration runs eagerly, traced again.  If its charge and
-    launch sequences don't match the capture (outside slots explicitly
-    marked *dynamic*, e.g. the pbest-copy charge whose size is the number
-    of improved particles), the iteration shape is data-dependent and the
-    run permanently falls back to eager — by design, not as an error.  On a
-    match, the engine builds its replay plan
-    (:meth:`~repro.core.engine.Engine._graph_build_replay`) and the plan's
-    declared launches are cross-checked against the capture.
-``replay``
-    Every further iteration is one call into the pre-bound plan.  The first
-    replay runs traced and is verified against the capture
-    (:class:`~repro.errors.GraphReplayError` on divergence — that would be
-    a repro bug, not a user condition); later replays run flat.
-``native-verify`` / ``native``
-    The third tier (``_fastpath.c``): after the first verified Python
-    replay, a native-eligible plan (global-memory float32 engines with the
-    global topology; see ``Engine._graph_build_native``) is promoted to one
-    C call per iteration.  Promotion is gated by one shadow-verified
-    iteration — the trusted Python replay runs on the real state while the
-    C step runs on copies, and every output buffer must match bitwise.  Any
-    mismatch, missing compiler, failed self-test, unsupported shape or
-    ``REPRO_NO_NATIVE_FASTPATH=1`` silently keeps the run on the Python
-    replay tier; the trajectory is bit-identical on every tier by
-    construction.  ``info["native"]`` records the outcome (``"active"`` or
-    the demotion reason), ``info["native_replays"]`` counts the C-call
-    iterations (also included in ``info["replays"]``, so profiler
-    reconciliation is tier-agnostic).
+    The third iteration runs eagerly, traced again.  If its charges and
+    launches don't match the capture (outside slots marked *dynamic*, e.g.
+    the pbest-copy charge sized by the improved count), the iteration shape
+    is data-dependent and the run permanently falls back to eager — by
+    design, not as an error.  Promotion happens on this same iteration: a
+    native-eligible run (see ``Engine._graph_build_native``) builds its
+    native step from the capture first and runs the traced eager iteration
+    as the trusted reference inside
+    :func:`repro.gpusim.fastpath.verify_step`, the C step shadowed on
+    copies; every output buffer and the allocator delta must match bitwise.
+``native``
+    Every further iteration is one C call plus one pass over the captured
+    charges (see :func:`repro.gpusim.fastpath.build_native`).
+    ``info["native"]`` records ``"active"`` or the demotion reason;
+    ``info["native_replays"]`` counts these iterations (also included in
+    ``info["replays"]``, so profiler reconciliation is tier-agnostic).
+``first-replay`` / ``replay``
+    The Python replay tier, for runs the native tier refuses (a shadow
+    mismatch, no compiler, an unsupported shape,
+    ``REPRO_NO_NATIVE_FASTPATH=1``, or ``allow_native = False``): the
+    engine's pre-bound plan
+    (:meth:`~repro.core.engine.Engine._graph_build_replay`), its declared
+    launches cross-checked against the capture and its first replay traced
+    and verified (:class:`~repro.errors.GraphReplayError` on divergence — a
+    repro bug, not a user condition).
 
-Replay preserves bit-identical simulated time because it performs the *same
-sequence of float additions* on the clock as the eager path: one
-``advance(cost.seconds)`` per launch in eager order, real allocator
-alloc/free calls (pool hits advance the clock natively and keep the
-allocator statistics truthful), and the same dynamic charges through the
-same helpers.  The native tier keeps this exactly: the C call replaces the
-array *semantics* only, while the clock charges, allocator calls and
-dynamic pbest-copy accounting still run through the same Python helpers in
-the same order.  Profiler statistics are aggregated per graph — replayed
-launches touch no :class:`~repro.gpusim.launch.LaunchStats` until
-:meth:`IterationRunner.finalize` folds ``replays x captured-cost`` into the
-launcher's buckets in one update per kernel.
+Replay is bit-identical because it performs the *same sequence of float
+additions* on the clock as eager: one ``advance(cost.seconds)`` per launch
+in eager order, real allocator alloc/free calls and the same dynamic
+charges through the same helpers.  Profiler statistics are aggregated per
+graph — replayed launches touch no
+:class:`~repro.gpusim.launch.LaunchStats` until :meth:`IterationRunner.finalize`
+folds ``replays x captured-cost`` into the launcher's buckets.
 
 Eager fallbacks (the graph is simply not used): ``graph=False``, a stop
 criterion, a callback, an attached fault injector, ``record_launches=True``
@@ -79,7 +73,7 @@ from typing import Callable
 
 from repro.errors import GraphReplayError
 
-__all__ = ["CapturedLaunch", "LaunchGraph", "IterationRunner"]
+__all__ = ["CapturedLaunch", "LaunchGraph", "IterationRunner", "trace_iteration"]
 
 
 #: One recorded launch: (kernel_name, section, n_elems, config, cost).
@@ -92,12 +86,24 @@ class LaunchGraph:
 
     ``trace`` is the clock charge sequence; ``launches`` the kernel launch
     sequence (empty for CPU engines, which charge the clock directly);
-    ``rng_blocks`` the Philox blocks one iteration consumes.
+    ``rng_blocks`` the Philox blocks one iteration consumes;
+    ``alloc_delta`` the change in the device allocator's
+    :class:`~repro.gpusim.alloc.AllocatorStats` fields over the iteration
+    (``None`` for engines without a device allocator).
     """
 
     trace: list[tuple[str | None, float, bool]] = field(default_factory=list)
     launches: list[CapturedLaunch] = field(default_factory=list)
     rng_blocks: int = 0
+    alloc_delta: tuple[int, ...] | None = None
+
+    def matches(self, other: "LaunchGraph") -> bool:
+        """Same charges, launches and RNG consumption as *other*."""
+        return (
+            self.trace_matches(other.trace)
+            and self.launches_match(other.launches)
+            and self.rng_blocks == other.rng_blocks
+        )
 
     def trace_matches(
         self, other: list[tuple[str | None, float, bool]]
@@ -150,8 +156,33 @@ class LaunchGraph:
             bucket.add_many(cost, n_elems, replays)
 
 
-#: Clock section labels of Algorithm 1's loop body, in execution order.
-SECTIONS = ("eval", "pbest", "gbest", "swarm")
+def trace_iteration(engine, rng, run_body) -> LaunchGraph:
+    """Run one eager iteration (*run_body*) with the clock trace and the
+    launcher's capture sink attached, and return what it did."""
+    clock = engine.clock
+    ctx = getattr(engine, "ctx", None)
+    launcher = getattr(ctx, "launcher", None)
+    alloc = getattr(ctx, "allocator", None)
+    captured: list = []
+    if launcher is not None:
+        launcher.capture = captured
+    stats_before = vars(alloc.stats).copy() if alloc is not None else None
+    clock.begin_trace()
+    rng_before = rng.position
+    try:
+        run_body()
+    finally:
+        trace = clock.end_trace()
+        if launcher is not None:
+            launcher.capture = None
+    return LaunchGraph(
+        trace=trace,
+        launches=captured,
+        rng_blocks=rng.position - rng_before,
+        alloc_delta=None
+        if alloc is None
+        else tuple(v - stats_before[k] for k, v in vars(alloc.stats).items()),
+    )
 
 
 class IterationRunner:
@@ -175,7 +206,6 @@ class IterationRunner:
         "allow_native",
         "_replay",
         "_native",
-        "_native_verify",
         "_launcher",
         "info",
     )
@@ -202,7 +232,6 @@ class IterationRunner:
         self.allow_native = True
         self._replay: Callable[[], None] | None = None
         self._native: Callable[[], None] | None = None
-        self._native_verify = None
         ctx = getattr(engine, "ctx", None)
         self._launcher = getattr(ctx, "launcher", None)
         self.info = {
@@ -230,22 +259,6 @@ class IterationRunner:
         with clock.section("swarm"):
             engine._update_swarm(self.problem, self.params, self.state, self.rng)
 
-    def _run_traced(self) -> tuple[list, list, int]:
-        """One eager iteration with the trace and capture sinks attached."""
-        clock = self.engine.clock
-        captured: list = []
-        if self._launcher is not None:
-            self._launcher.capture = captured
-        clock.begin_trace()
-        rng_before = self.rng.position
-        try:
-            self._run_eager()
-        finally:
-            trace = clock.end_trace()
-            if self._launcher is not None:
-                self._launcher.capture = None
-        return trace, captured, self.rng.position - rng_before
-
     # -- lifecycle -----------------------------------------------------------
     def run_iteration(self, t: int) -> None:
         phase = self.phase
@@ -258,57 +271,18 @@ class IterationRunner:
             self._replay()
             self.info["replays"] += 1
             return
-        if phase == "native-verify":
-            # One shadow-verified iteration: the trusted Python replay runs
-            # on the real state, the C step on copies (see
-            # repro.gpusim.fastpath.verify_step).  The real trajectory is
-            # identical whichever way the verdict goes.
-            ok = self._native_verify(self._replay)
-            self.info["replays"] += 1
-            if ok:
-                self.phase = "native"
-                self.info["native"] = "active"
-            else:
-                self.phase = "replay"
-                self._native = None
-                self._native_verify = None
-                self.info["native"] = "parity-mismatch"
-            return
         if phase in ("eager", "warmup"):
             self._run_eager()
             if phase == "warmup":
                 self.phase = "capture"
             return
         if phase == "capture":
-            trace, launches, rng_blocks = self._run_traced()
-            self.graph = LaunchGraph(
-                trace=trace, launches=launches, rng_blocks=rng_blocks
-            )
+            self.graph = trace_iteration(self.engine, self.rng, self._run_eager)
             self.info["captured_at"] = t
             self.phase = "validate"
             return
         if phase == "validate":
-            trace, launches, rng_blocks = self._run_traced()
-            graph = self.graph
-            if not (
-                graph.trace_matches(trace)
-                and graph.launches_match(launches)
-                and graph.rng_blocks == rng_blocks
-            ):
-                # Data-dependent iteration shape: stay eager for this run.
-                self._demote("iteration-shape-changed")
-                return
-            replay, plan_launches = self.engine._graph_build_replay(
-                self.problem, self.params, self.state, self.rng
-            )
-            if not graph.launches_match(plan_launches):
-                # The engine's plan disagrees with what eager actually did;
-                # refuse to replay it (a repro bug — surface loudly in the
-                # suite via graph_info, but never corrupt a user run).
-                self._demote("replay-plan-mismatch")
-                return
-            self._replay = replay
-            self.phase = "first-replay"
+            self._validate()
             return
         # phase == "first-replay": verified replay, then go flat.
         clock = self.engine.clock
@@ -333,33 +307,68 @@ class IterationRunner:
                 f"recorded {graph.rng_blocks}"
             )
         self.phase = "replay"
-        self._try_native()
 
-    def _try_native(self) -> None:
-        """Attempt promotion to the native (one-C-call) tier.
+    def _validate(self) -> None:
+        """The validate iteration, which also gates native promotion.
 
-        Called once, after the first verified Python replay.  Every failure
-        mode records its reason on ``info["native"]`` and leaves the run on
-        the Python replay tier — promotion is strictly best-effort.
+        A native-eligible run builds its step from the capture first and
+        runs this iteration's traced eager body as the trusted reference
+        inside the shadow-verifying gate (see
+        :func:`repro.gpusim.fastpath.verify_step`); the real trajectory is
+        the eager one whichever way the verdict goes.
+        """
+        native = self._build_native()
+        observed: list[LaunchGraph] = []
+
+        def run_reference() -> None:
+            observed.append(trace_iteration(self.engine, self.rng, self._run_eager))
+
+        verified = False
+        if isinstance(native, str):
+            run_reference()
+        else:
+            verified = native[1](run_reference)
+        (seen,) = observed
+        graph = self.graph
+        if not graph.matches(seen):
+            # Data-dependent iteration shape: stay eager for this run.
+            self._demote("iteration-shape-changed")
+            return
+        if verified and seen.alloc_delta == graph.alloc_delta:
+            self._native = native[0]
+            self.phase = "native"
+            self.info["native"] = "active"
+            return
+        replay, plan_launches = self.engine._graph_build_replay(
+            self.problem, self.params, self.state, self.rng
+        )
+        if not graph.launches_match(plan_launches):
+            # The engine's plan disagrees with what eager actually did;
+            # refuse to replay it (a repro bug — surface loudly in the
+            # suite via graph_info, but never corrupt a user run).
+            self._demote("replay-plan-mismatch")
+            return
+        self.info["native"] = native if isinstance(native, str) else "parity-mismatch"
+        self._replay = replay
+        self.phase = "first-replay"
+
+    def _build_native(self):
+        """The engine's ``(step, verify)`` native pair, or why there is none.
+
+        Every failure mode is a reason string that leaves the run on the
+        Python replay tier — promotion is strictly best-effort.
         """
         if not self.allow_native:
-            self.info["native"] = "host-managed"
-            return
+            return "host-managed"
         if os.environ.get("REPRO_NO_NATIVE_FASTPATH"):
-            self.info["native"] = "disabled-by-env"
-            return
+            return "disabled-by-env"
         try:
             built = self.engine._graph_build_native(
                 self.graph, self.problem, self.params, self.state, self.rng
             )
         except Exception:
-            self.info["native"] = "native-build-failed"
-            return
-        if built is None or isinstance(built, str):
-            self.info["native"] = built or "engine-has-no-native-plan"
-            return
-        self._native, self._native_verify = built
-        self.phase = "native-verify"
+            return "native-build-failed"
+        return built or "engine-has-no-native-plan"
 
     def _demote(self, reason: str) -> None:
         self.phase = "eager"

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import AllocationError, DeviceOutOfMemoryError
-from repro.gpusim.alloc import CachingAllocator, DirectAllocator, size_class
+from repro.gpusim.alloc import (
+    AllocatorStats,
+    CachingAllocator,
+    DirectAllocator,
+    size_class,
+)
 from repro.gpusim.clock import SimClock
 from repro.gpusim.device import tesla_v100
 from repro.gpusim.memory import GlobalMemory
@@ -171,3 +176,60 @@ class TestCachingAllocator:
             alloc.free(l)
             alloc.free(g)
         assert alloc.stats.pool_misses == misses
+
+
+class TestFoldHits:
+    """``fold_hits`` must leave exactly what the pool-hit calls it replaces
+    leave: the same counters and the same free-list order."""
+
+    @staticmethod
+    def _warm(alloc, blocks=3):
+        bufs = [alloc.alloc_like((16, 8), np.float32) for _ in range(blocks)]
+        for buf in bufs:
+            alloc.free(buf)
+
+    def _pair(self, alloc):
+        l_buf = alloc.alloc_like((16, 8), np.float32)
+        g_buf = alloc.alloc_like((16, 8), np.float32)
+        alloc.free(l_buf)
+        alloc.free(g_buf)
+
+    def test_matches_real_pool_hit_pair(self):
+        spec, clock, mem = make_allocators()
+        real = CachingAllocator(spec, mem, clock)
+        folded = CachingAllocator(spec, GlobalMemory(1 << 20), SimClock())
+        for alloc in (real, folded):
+            self._warm(alloc)
+        before = vars(real.stats).copy()
+        self._pair(real)
+        delta = AllocatorStats(
+            *(vars(real.stats)[k] - before[k] for k in before)
+        )
+        folded_now = folded.clock.now
+        assert folded.fold_hits(size_class(16 * 8 * 4), delta)
+        assert vars(folded.stats) == vars(real.stats)
+        rank = lambda alloc: [  # noqa: E731 - ids are process-global
+            sorted(b.buffer_id for b in alloc._pools[512]).index(b.buffer_id)
+            for b in alloc._pools[512]
+        ]
+        assert rank(folded) == rank(real)
+        assert folded.clock.now == folded_now  # clock charges are the caller's
+
+    def test_refuses_without_enough_pooled_blocks(self):
+        spec, clock, mem = make_allocators()
+        alloc = CachingAllocator(spec, mem, clock)
+        self._warm(alloc, blocks=1)
+        stats = vars(alloc.stats).copy()
+        delta = AllocatorStats(allocs=2, frees=2, pool_hits=2)
+        assert not alloc.fold_hits(512, delta)
+        assert not alloc.fold_hits(1024, delta)  # empty class
+        assert vars(alloc.stats) == stats
+
+    def test_refuses_with_fault_injector(self):
+        spec, clock, mem = make_allocators()
+        alloc = CachingAllocator(spec, mem, clock)
+        self._warm(alloc)
+        alloc.fault_injector = object()
+        assert not alloc.fold_hits(
+            512, AllocatorStats(allocs=2, frees=2, pool_hits=2)
+        )

@@ -20,6 +20,7 @@ from repro.core.problem import Problem
 from repro.core.schedules import LinearInertia
 from repro.engines import make_engine
 from repro.gpusim import fastpath, native
+from repro.gpusim.alloc import CachingAllocator, DirectAllocator, size_class
 from repro.gpusim.fastpath import ENV_GATE
 from repro.gpusim.graph import IterationRunner
 
@@ -58,8 +59,31 @@ def run(name, problem, *, iters=20, n=64, params=None, **opts):
     return engine, result
 
 
-def assert_identical(a, b):
-    """Exact equality on every simulated observable (no tolerances)."""
+def _pool_order(engine, n, d):
+    """The weight size class's free list as allocation ranks (buffer ids
+    are process-global, so two runs compare by relative order)."""
+    pools = getattr(engine.ctx.allocator, "_pools", {})  # caching only
+    ids = [b.buffer_id for b in pools.get(size_class(n * d * 4), [])]
+    ranks = sorted(ids)
+    return [ranks.index(i) for i in ids]
+
+
+def _profile_rows(engine):
+    return {
+        name: (
+            k.launches,
+            k.total_seconds,
+            k.total_bytes_read,
+            k.total_bytes_written,
+            k.total_flops,
+            k.mean_occupancy,
+        )
+        for name, k in engine.profile_report().kernels.items()
+    }
+
+
+def assert_same_result(a, b):
+    """Exact equality on every simulated observable of two results."""
     assert a.best_value == b.best_value
     np.testing.assert_array_equal(a.best_position, b.best_position)
     assert a.iterations == b.iterations
@@ -70,66 +94,124 @@ def assert_identical(a, b):
     assert list(a.history.gbest_values) == list(b.history.gbest_values)
 
 
+def assert_identical(a, b, *, n=64, d=10, exact_profile=True):
+    """:func:`assert_same_result` on two ``(engine, result)`` runs, plus
+    the clock's section totals, the device allocator's counters and
+    weight-class free list, and the profile rows.
+
+    Graph runs fold ``replays x cost`` into the profile in one multiply,
+    so against an eager run (``exact_profile=False``) the profile's float
+    sums agree to rounding and its launch counts exactly."""
+    (engine_a, a), (engine_b, b) = a, b
+    assert_same_result(a, b)
+    assert engine_a.clock.section_totals == engine_b.clock.section_totals
+    if getattr(engine_a, "ctx", None) is None:
+        return
+    assert vars(engine_a.ctx.allocator.stats) == vars(engine_b.ctx.allocator.stats)
+    assert _pool_order(engine_a, n, d) == _pool_order(engine_b, n, d)
+    rows_a, rows_b = _profile_rows(engine_a), _profile_rows(engine_b)
+    if exact_profile:
+        assert rows_a == rows_b
+    else:
+        assert rows_a.keys() == rows_b.keys()
+        for name, row in rows_a.items():
+            assert row[0] == rows_b[name][0], name
+            assert row[1:] == pytest.approx(rows_b[name][1:], rel=1e-12), name
+
+
+#: Parameter variants the native step must replay bit-identically: the
+#: static ones hoist inertia and bounds out of the step, the others
+#: resolve them every iteration.
+PARAM_VARIANTS = {
+    "clip-positions": {"clip_positions": True},
+    "no-clamp": {"velocity_clamp": None},
+    "static-clamp": {"velocity_clamp": 0.5, "adaptive_velocity": False},
+    "adaptive-velocity": {
+        "velocity_clamp": 0.5,
+        "adaptive_velocity": True,
+        "final_velocity_fraction": 0.1,
+    },
+    "inertia-schedule": {"inertia_schedule": LinearInertia(0.9, 0.4)},
+}
+
+
+def assert_three_tiers(name, problem, monkeypatch, **kwargs):
+    """Native, Python replay (env-gated) and eager runs are identical."""
+    native_run = run(name, problem, **kwargs)
+    assert native_run[0].graph_info["mode"] == "graph"
+    assert native_run[0].graph_info["native"] == "active"
+    assert native_run[0].graph_info["native_replays"] > 0
+    monkeypatch.setenv(ENV_GATE, "1")
+    gated_run = run(name, problem, **kwargs)
+    assert gated_run[0].graph_info["mode"] == "graph"
+    assert gated_run[0].graph_info["native"] == "disabled-by-env"
+    assert gated_run[0].graph_info["native_replays"] == 0
+    monkeypatch.delenv(ENV_GATE)
+    eager_run = run(name, problem, graph=False, **kwargs)
+    n, d = kwargs.get("n", 64), problem.dim
+    assert_identical(native_run, gated_run, n=n, d=d)
+    assert_identical(native_run, eager_run, n=n, d=d, exact_profile=False)
+    return native_run
+
+
 @needs_native
 class TestNativeTierParity:
     @pytest.mark.parametrize("name", NATIVE_ENGINES)
     def test_native_matches_replay_and_eager(self, name, problem, monkeypatch):
-        monkeypatch.delenv(ENV_GATE, raising=False)
-        nat_engine, nat_result = run(name, problem)
-        assert nat_engine.graph_info["mode"] == "graph"
-        assert nat_engine.graph_info["native"] == "active"
-        assert nat_engine.graph_info["native_replays"] > 0
-
-        monkeypatch.setenv(ENV_GATE, "1")
-        gated_engine, gated_result = run(name, problem)
-        assert gated_engine.graph_info["mode"] == "graph"
-        assert gated_engine.graph_info["native"] == "disabled-by-env"
-        assert gated_engine.graph_info["native_replays"] == 0
-
-        monkeypatch.delenv(ENV_GATE)
-        _, eager_result = run(name, problem, graph=False)
-
-        assert_identical(nat_result, gated_result)
-        assert_identical(nat_result, eager_result)
+        assert_three_tiers(name, problem, monkeypatch)
 
     def test_lifecycle_counters(self, problem):
         engine, _ = run("fastpso", problem, iters=20)
         info = engine.graph_info
-        # warmup(0) + capture(1) + validate(2), one verified Python replay,
-        # one shadow-verified promotion iteration, 15 native iterations.
+        # warmup(0) + capture(1) + validate(2), which also shadow-verifies
+        # and promotes; the remaining 17 iterations run natively.
         assert info["captured_at"] == 1
         assert info["replays"] == 17
         assert info["native"] == "active"
-        assert info["native_replays"] == 15
+        assert info["native_replays"] == 17
         assert info["eager_reason"] is None
 
     def test_odd_tail_shapes(self, monkeypatch):
         """n*d not divisible by 4 exercises the partial final Philox block
         and the SIMD remainder loops."""
-        problem = Problem.from_benchmark("sphere", 7)
-        nat_engine, nat_result = run("fastpso", problem, n=13)
-        assert nat_engine.graph_info["native"] == "active"
-        monkeypatch.setenv(ENV_GATE, "1")
-        _, gated_result = run("fastpso", problem, n=13)
-        assert_identical(nat_result, gated_result)
+        assert_three_tiers(
+            "fastpso", Problem.from_benchmark("sphere", 7), monkeypatch, n=13
+        )
 
     @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"clip_positions": True},
-            {"velocity_clamp": None},
-            {"velocity_clamp": 0.5, "adaptive_velocity": False},
-            {"inertia_schedule": LinearInertia(0.9, 0.4)},
-        ],
-        ids=["clip-positions", "no-clamp", "static-clamp", "inertia-schedule"],
+        "overrides", PARAM_VARIANTS.values(), ids=PARAM_VARIANTS.keys()
     )
     def test_parameter_variants(self, problem, overrides, monkeypatch):
         params = replace(PAPER_DEFAULTS, seed=7, **overrides)
-        nat_engine, nat_result = run("fastpso", problem, params=params)
-        assert nat_engine.graph_info["native"] == "active"
-        monkeypatch.setenv(ENV_GATE, "1")
-        _, gated_result = run("fastpso", problem, params=params)
-        assert_identical(nat_result, gated_result)
+        assert_three_tiers("fastpso", problem, monkeypatch, params=params)
+
+    @pytest.mark.parametrize("name", NATIVE_ENGINES[1:])
+    @pytest.mark.parametrize(
+        "overrides", PARAM_VARIANTS.values(), ids=PARAM_VARIANTS.keys()
+    )
+    def test_parameter_variants_across_engines(
+        self, name, problem, overrides, monkeypatch
+    ):
+        params = replace(PAPER_DEFAULTS, seed=7, **overrides)
+        assert_three_tiers(name, problem, monkeypatch, params=params)
+
+    def test_fold_fallback_on_caching_allocator(self, problem, monkeypatch):
+        """With the fold refused on every step, the native step's real
+        pool-hit alloc/free calls land in their captured slots."""
+        monkeypatch.setattr(CachingAllocator, "fold_hits", lambda *args: False)
+        native_run = assert_three_tiers("fastpso", problem, monkeypatch)
+        assert native_run[0].graph_info["native_replays"] == 17
+
+    def test_direct_allocator_charges_every_iteration(self, problem, monkeypatch):
+        """Table 4's "w/ reallocation" engine: no pool to fold, so the native
+        step falls back to real malloc/free calls on every iteration."""
+        engine, _ = assert_three_tiers("fastpso-nocache", problem, monkeypatch)
+        stats = engine.ctx.allocator.stats
+        assert isinstance(engine.ctx.allocator, DirectAllocator)
+        assert engine.graph_info["native_replays"] == 17
+        # 5 persistent swarm buffers plus 2 weight buffers per iteration.
+        assert stats.allocs == stats.frees == 5 + 2 * 20
+        assert stats.pool_hits == 0
 
     def test_self_test_known_answer(self):
         lib = fastpath.load()
@@ -144,26 +226,29 @@ class TestIneligibleConfigurations:
     the refusal reason recorded — and remain bit-identical to eager."""
 
     def test_fp16_storage_refused(self, problem):
-        engine, result = run("fastpso-fp16", problem)
+        graph_run = run("fastpso-fp16", problem)
+        engine = graph_run[0]
         assert engine.graph_info["mode"] == "graph"
         assert engine.graph_info["native"] == "native-unsupported-storage-dtype"
-        _, eager = run("fastpso-fp16", problem, graph=False)
-        assert_identical(result, eager)
+        eager_run = run("fastpso-fp16", problem, graph=False)
+        assert_identical(graph_run, eager_run, exact_profile=False)
 
     def test_non_global_backend_refused(self, problem):
-        engine, result = run("fastpso-shared", problem)
+        graph_run = run("fastpso-shared", problem)
+        engine = graph_run[0]
         assert engine.graph_info["mode"] == "graph"
         assert engine.graph_info["native"] == "native-unsupported-backend:shared"
-        _, eager = run("fastpso-shared", problem, graph=False)
-        assert_identical(result, eager)
+        eager_run = run("fastpso-shared", problem, graph=False)
+        assert_identical(graph_run, eager_run, exact_profile=False)
 
     def test_ring_topology_refused(self, problem):
         params = replace(PAPER_DEFAULTS, seed=7, topology="ring")
-        engine, result = run("fastpso", problem, params=params)
+        graph_run = run("fastpso", problem, params=params)
+        engine = graph_run[0]
         assert engine.graph_info["mode"] == "graph"
         assert engine.graph_info["native"] == "native-unsupported-topology:ring"
-        _, eager = run("fastpso", problem, params=params, graph=False)
-        assert_identical(result, eager)
+        eager_run = run("fastpso", problem, params=params, graph=False)
+        assert_identical(graph_run, eager_run, exact_profile=False)
 
     def test_eager_runs_never_consider_native(self, problem):
         from repro.reliability.faults import FaultInjector, FaultSpec
@@ -205,37 +290,46 @@ class TestFallbacks:
         monkeypatch.setattr(native, "cache_dir", lambda: tmp_path)
         fastpath._MODULE.invalidate()
         try:
-            engine, result = run("fastpso", problem)
+            graph_run = run("fastpso", problem)
+            engine = graph_run[0]
             assert engine.graph_info["mode"] == "graph"
             assert engine.graph_info["native"] == "native-unavailable"
             assert engine.graph_info["replays"] == 17
         finally:
             monkeypatch.undo()
             fastpath._MODULE.invalidate()
-        _, eager = run("fastpso", problem, graph=False)
-        assert_identical(result, eager)
+        eager_run = run("fastpso", problem, graph=False)
+        assert_identical(graph_run, eager_run, exact_profile=False)
 
     @needs_native
     def test_verify_mismatch_demotes_to_python_replay(
         self, problem, monkeypatch
     ):
-        """A failed promotion gate keeps the run on the Python tier with an
-        unchanged trajectory — the gate replays the real iteration through
+        """The gate runs once, on the validate iteration itself (before any
+        replay).  A failed gate keeps the run on the Python replay tier with
+        an unchanged trajectory — the gate runs the real iteration through
         the trusted path whichever way the verdict goes."""
+        calls = []
 
-        def always_mismatch(plan, run_replay, *args, **kwargs):
-            run_replay()
+        def always_mismatch(plan, run_reference, eval_fn, engine, *args):
+            calls.append(
+                (engine.graph_info["captured_at"], engine.graph_info["replays"])
+            )
+            run_reference()
             return False
 
         monkeypatch.setattr(fastpath, "verify_step", always_mismatch)
-        engine, result = run("fastpso", problem, iters=20)
+        mismatch_run = run("fastpso", problem, iters=20)
+        engine = mismatch_run[0]
+        assert calls == [(1, 0)]
         assert engine.graph_info["mode"] == "graph"
         assert engine.graph_info["native"] == "parity-mismatch"
         assert engine.graph_info["native_replays"] == 0
         assert engine.graph_info["replays"] == 17
         monkeypatch.undo()
-        _, native_result = run("fastpso", problem, iters=20)
-        assert_identical(result, native_result)
+        assert_identical(mismatch_run, run("fastpso", problem, iters=20))
+        eager_run = run("fastpso", problem, iters=20, graph=False)
+        assert_identical(mismatch_run, eager_run, exact_profile=False)
 
     @needs_native
     def test_host_managed_pin_skips_promotion(self, problem, monkeypatch):
@@ -249,14 +343,14 @@ class TestFallbacks:
             return orig(self, t)
 
         monkeypatch.setattr(IterationRunner, "run_iteration", pinned)
-        engine, result = run("fastpso", problem, iters=20)
+        pinned_run = run("fastpso", problem, iters=20)
+        engine = pinned_run[0]
         assert engine.graph_info["mode"] == "graph"
         assert engine.graph_info["native"] == "host-managed"
         assert engine.graph_info["native_replays"] == 0
         assert engine.graph_info["replays"] == 17
         monkeypatch.undo()
-        _, native_result = run("fastpso", problem, iters=20)
-        assert_identical(result, native_result)
+        assert_identical(pinned_run, run("fastpso", problem, iters=20))
 
 
 @needs_native
@@ -302,4 +396,4 @@ class TestCheckpointResume:
         assert info["captured_at"] == snap.iteration + 1
         assert info["native"] == "active"
         assert info["native_replays"] > 0
-        assert_identical(resumed, golden)
+        assert_same_result(resumed, golden)
