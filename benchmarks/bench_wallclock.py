@@ -3,12 +3,10 @@
 Measures *host* seconds — real time spent running the simulator, not
 simulated GPU seconds — for a fixed seeded Table-1-style workload:
 ``sphere`` in d=50, n=2000 particles, 200 iterations, on ``fastpso`` plus
-one CPU baseline (``fastpso-seq``), each in three execution lanes:
+one CPU baseline (``fastpso-seq``), each in two execution lanes:
 
-* ``<engine>`` — the default configuration: launch-graph replay promoted
-  to the native one-C-call-per-iteration tier (``_fastpath.c``);
-* ``<engine>-graph`` — launch-graph replay with the native tier disabled
-  (``REPRO_NO_NATIVE_FASTPATH=1``), i.e. the Python replay closures;
+* ``<engine>`` — the default configuration: the launch graph promoted to
+  the native one-C-call-per-iteration tier (``_fastpath.c``);
 * ``<engine>-eager`` — the full eager launch pipeline (``graph=False``).
 
 Each lane performs one untimed warm-up run before the timed repeats (the
@@ -18,9 +16,9 @@ memoisation, the compiled ``.so`` dlopen — that previously skewed repeat
 
 The simulated results (best value, simulated ``elapsed_seconds``) are
 recorded alongside so a perf change that accidentally perturbs
-trajectories is immediately visible in the JSON diff — and all three
-lanes are checked *bit-identical* against each other (``--check-parity``,
-exit 1 on mismatch; CI runs this, which covers native-vs-python parity).
+trajectories is immediately visible in the JSON diff — and both lanes
+are checked *bit-identical* against each other (``--check-parity``, exit
+1 on mismatch; CI runs this, which covers native-vs-eager parity).
 
 Run from the repo root::
 
@@ -53,11 +51,11 @@ WORKLOAD = {
     "seed": 42,
 }
 ENGINES = ("fastpso", "fastpso-seq")
-#: lane suffix -> (graph enabled, native fast path enabled)
-LANES = {"": (True, True), "-graph": (True, False), "-eager": (False, False)}
+#: lane suffix -> graph enabled (the default lane runs the native tier)
+LANES = {"": True, "-eager": False}
 REPEATS = 3
 
-#: Result fields that must be bit-identical across all three lanes.
+#: Result fields that must be bit-identical across the lanes.
 PARITY_FIELDS = ("best_value", "simulated_seconds", "iterations", "trajectory")
 
 
@@ -69,16 +67,12 @@ def bench_engine(
     max_iter: int,
     repeats: int = REPEATS,
     graph: bool = True,
-    native: bool = True,
 ) -> dict:
     """Best-of-*repeats* host wall time for one engine/lane, after one
-    untimed warm-up run."""
+    untimed warm-up run.  The native gate is cleared for the run, so the
+    default lane measures the native tier whatever the environment says."""
     problem = Problem.from_benchmark(WORKLOAD["problem"], dim)
-    saved = os.environ.get(ENV_GATE)
-    if native:
-        os.environ.pop(ENV_GATE, None)
-    else:
-        os.environ[ENV_GATE] = "1"
+    saved = os.environ.pop(ENV_GATE, None)
     try:
         walls = []
         result = None
@@ -104,9 +98,7 @@ def bench_engine(
             )
             walls.append(time.perf_counter() - t0)
     finally:
-        if saved is None:
-            os.environ.pop(ENV_GATE, None)
-        else:
+        if saved is not None:
             os.environ[ENV_GATE] = saved
     info = engine.graph_info
     return {
@@ -130,7 +122,7 @@ def run(max_iter: int, repeats: int) -> dict:
         "engines": {},
     }
     for name in ENGINES:
-        for suffix, (graph, native) in LANES.items():
+        for suffix, graph in LANES.items():
             key = name + suffix
             payload["engines"][key] = bench_engine(
                 name,
@@ -139,7 +131,6 @@ def run(max_iter: int, repeats: int) -> dict:
                 max_iter=max_iter,
                 repeats=repeats,
                 graph=graph,
-                native=native,
             )
             e = payload["engines"][key]
             print(
@@ -151,7 +142,7 @@ def run(max_iter: int, repeats: int) -> dict:
 
 
 def check_parity(payload: dict) -> list[str]:
-    """All three lanes must agree bit-for-bit on everything simulated."""
+    """Every lane must agree bit-for-bit on everything simulated."""
     problems = []
     for name in ENGINES:
         base_row = payload["engines"][name]
@@ -185,7 +176,7 @@ def main() -> None:
     parser.add_argument(
         "--check-parity",
         action="store_true",
-        help="exit 1 unless all lanes (native/graph/eager) are bit-identical",
+        help="exit 1 unless all lanes (native/eager) are bit-identical",
     )
     args = parser.parse_args()
     payload = run(args.iters, args.repeats)
@@ -204,7 +195,7 @@ def main() -> None:
         if args.check_parity:
             sys.exit(1)
     else:
-        print("parity: native, graph and eager lanes are bit-identical")
+        print("parity: native and eager lanes are bit-identical")
 
 
 if __name__ == "__main__":

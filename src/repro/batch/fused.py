@@ -26,24 +26,26 @@ in the same order on each member's rows (row-stacking cannot change a row's
 result for element-wise ops and row reductions), the per-member simulated
 clock replays the member's own captured charge sequence (the same float
 additions the solo loop performs), and the per-member RNG consumes exactly
-the captured number of Philox blocks per iteration (asserted every round,
-mirroring the launch graph's first-replay verification).
+the captured number of Philox blocks per iteration (asserted every round).
 
 How a member joins the fast loop
 --------------------------------
-Each member runs a short solo *ramp* first (the launch-graph lifecycle of
-:mod:`repro.gpusim.graph`, or an externally traced capture/validate pair for
-engines running eagerly).  The ramp yields a :class:`LaunchGraph` whose
-trace the fast loop replays.  Members whose iteration shape is
-data-dependent — or whose remaining budget is too short — simply continue
-solo; fusion is an optimisation, never a semantics change.
+The fast loop drives its members' iterations itself, so a member whose
+runner would take the launch-graph lifecycle of :mod:`repro.gpusim.graph`
+is handed to eager first (:meth:`~repro.gpusim.graph.IterationRunner.demote`
+with reason ``"host-managed"``).  Every member then runs the same short solo
+*ramp*: an eager warmup, then an externally traced capture/validate pair.
+The ramp yields a :class:`LaunchGraph` whose trace the fast loop replays.
+Members whose iteration shape is data-dependent — or whose remaining budget
+is too short — simply continue solo; fusion is an optimisation, never a
+semantics change.
 
 A few per-member accounting details intentionally diverge (and only those):
 allocator pool hit/miss *counters* stop advancing during fused rounds (the
 pool reached steady state during the ramp, so the high-water mark — what
 ``peak_device_bytes`` reports — is already exact), and aggregated
 :class:`~repro.gpusim.launch.LaunchStats` are folded once per member at
-finish (the same ``add_many`` reconciliation the launch graph uses).
+finish (the same ``add_many`` reconciliation the native tier uses).
 
 Makespan model
 --------------
@@ -83,13 +85,9 @@ __all__ = [
 #: stacked path does not reproduce.
 FUSABLE_ENGINES = frozenset({"fastpso", "gpu-pso"})
 
-#: Solo iterations a member runs before stacking: the launch-graph lifecycle
-#: pinned to the Python replay tier (``allow_native = False``, so validate
-#: never promotes) needs warmup/capture/validate/first-replay; an eager
-#: member needs warmup (allocator pool misses) plus an externally traced
-#: capture and validate pair.
-RAMP_GRAPH = 4
-RAMP_EAGER = 3
+#: Solo iterations a member runs before stacking: warmup (allocator pool
+#: misses) plus an externally traced capture and validate pair.
+RAMP = 3
 
 _NAN_MESSAGE = (
     "evaluation produced NaN fitness values; FastPSO treats NaN "
@@ -162,7 +160,6 @@ class _Member:
         "index",
         "run",
         "graph",
-        "mode",  # "graph" | "eager" | "solo"
         "solo_reason",
         "t",
         "stopped",
@@ -178,7 +175,6 @@ class _Member:
         self.index = index
         self.run = run
         self.graph = None
-        self.mode = "solo"
         self.solo_reason = None
         self.t = run.start_iter
         self.stopped = False
@@ -243,13 +239,9 @@ class FusedGroupRunner:
                 member.stopped = member.run.step(member.t)
                 member.t += 1
         for member in self.members:
-            if (
-                member.mode == "eager"
-                and member.fast_replays
-                and member.graph is not None
-            ):
-                # Eager members' fused rounds bypassed the launcher; fold
-                # their launch statistics exactly like graph replay does.
+            if member.fast_replays:
+                # Fused rounds bypassed the launcher; fold their launch
+                # statistics exactly like the native tier does.
                 member.graph.flush_stats(
                     member.engine.ctx.launcher.stats, member.fast_replays
                 )
@@ -277,42 +269,24 @@ class FusedGroupRunner:
     # -- ramp -----------------------------------------------------------------
     def _ramp(self, member: _Member) -> None:
         run = member.run
-        runner = run.runner
         if getattr(run.engine, "ctx", None) is None:
             member.solo_reason = "no-gpu-context"
             return
-        if runner.info["mode"] == "graph":
-            # The stacked engine drives member iterations itself, splicing
-            # per-member replay closures into fused rounds — the runner must
-            # settle on the Python replay tier, not promote to the native
-            # one-call step (which bypasses those closures).
-            runner.allow_native = False
-            for _ in range(RAMP_GRAPH):
-                if member.stopped or member.t >= run.max_iter:
-                    break
-                member.stopped = run.step(member.t)
-                member.t += 1
-            if runner.phase != "replay":
-                member.solo_reason = (
-                    runner.info.get("eager_reason") or "ramp-incomplete"
-                )
-                return
-            member.graph = runner.graph
-            member.mode = "graph"
-        else:
-            graph = self._eager_capture(member)
-            if graph is None:
-                return
-            member.graph = graph
-            member.mode = "eager"
+        if run.runner.info["mode"] == "graph":
+            # The fast loop drives member iterations itself; the runner
+            # must stay eager, not promote to the native one-call step.
+            run.runner.demote("host-managed")
+        graph = self._eager_capture(member)
+        if graph is None:
+            return
+        member.graph = graph
         if not self._validate_dynamic(member):
             member.graph = None
-            member.mode = "solo"
             return
         member.spec_map = _build_spec_map(run.engine)
 
     def _eager_capture(self, member: _Member):
-        """Warmup / capture / validate for a member running eagerly.
+        """Warmup / capture / validate, with the member's runner eager.
 
         Tracing never changes the float accumulation, so if validation fails
         the member just continues solo, having run three perfectly ordinary
@@ -325,7 +299,7 @@ class FusedGroupRunner:
                 run.engine, run.rng, lambda: run.run_semantics(member.t)
             )
 
-        if member.remaining < RAMP_EAGER + 1:
+        if member.remaining < RAMP + 1:
             member.solo_reason = "too-few-iterations"
             # Not enough headroom to capture, validate and still profit.
             return None
@@ -393,7 +367,6 @@ class FusedGroupRunner:
             else:
                 m.solo_reason = "shape-mismatch"
                 m.graph = None
-                m.mode = "solo"
         return compatible
 
     def _pick_update_mode(self, engine) -> str:
@@ -421,8 +394,8 @@ class FusedGroupRunner:
 
         # Stacked swarm tensors (m*n x d).  Copy members in, then rebind
         # each member's SwarmState arrays to its contiguous row block: the
-        # member's own replay closures, checkpoints and solo tail steps all
-        # keep working on the same storage.
+        # member's own checkpoints and solo tail steps keep working on the
+        # same storage.
         pos = np.empty((rows, d), dtype)
         vel = np.empty((rows, d), dtype)
         pb = np.empty((rows, d), dtype)
@@ -645,8 +618,6 @@ class FusedGroupRunner:
                         if label is not None:
                             totals[label] = totals_get(label, 0.0) + seconds
                 clock.now = now
-                if m.mode == "graph":
-                    m.run.runner.info["replays"] += 1
                 m.fast_replays += 1
                 m.stopped = m.run.after_iteration(m.t)
                 m.t += 1

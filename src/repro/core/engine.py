@@ -176,13 +176,14 @@ class Engine(ABC):
     name: str = "engine"
     #: Whether the engine executes on the simulated GPU.
     is_gpu: bool = False
-    #: Whether the engine provides a launch-graph replay plan
-    #: (:mod:`repro.gpusim.graph`).  Engines that do accept ``graph=`` in
-    #: their constructor and set :attr:`graph_enabled` from it.
+    #: Whether the engine's runs go through the launch-graph lifecycle
+    #: (:mod:`repro.gpusim.graph`): capture, validate, then the native step
+    #: or eager.  Engines that do accept ``graph=`` in their constructor and
+    #: set :attr:`graph_enabled` from it.
     supports_graph: bool = False
-    #: The ``graph=`` knob: capture & replay the steady-state iteration when
-    #: possible.  Ignored (always eager) when :attr:`supports_graph` is
-    #: False.
+    #: The ``graph=`` knob: capture the steady-state iteration and promote
+    #: it to the native step when possible.  Ignored (always eager) when
+    #: :attr:`supports_graph` is False.
     graph_enabled: bool = True
     #: Lifecycle report of the most recent run's :class:`~repro.gpusim.
     #: graph.IterationRunner` (``None`` before the first ``optimize``).
@@ -445,7 +446,7 @@ class Engine(ABC):
         # A run is graph-eligible only when nothing can change the iteration
         # shape or needs per-launch hooks.  A restored run builds a fresh
         # runner like any other, so the graph is re-captured after resume —
-        # stale bindings from the pre-checkpoint run can never be replayed.
+        # stale bindings from the pre-checkpoint run can never be reused.
         from repro.gpusim.graph import IterationRunner
 
         eager_reason = self._graph_eager_reason(stop, callback, tracker, guard)
@@ -490,7 +491,7 @@ class Engine(ABC):
         or alter the run at any iteration and must observe per-iteration
         state transitions in eager order; a fault injector needs its
         per-launch hook; ``record_launches`` needs the full per-launch log
-        that replay deliberately skips.
+        that the native step deliberately skips.
         """
         if not self.supports_graph:
             return "engine-does-not-support-graphs"
@@ -512,30 +513,19 @@ class Engine(ABC):
         """Engine-specific extra eager conditions (e.g. launch recording)."""
         return None
 
-    def _graph_build_replay(self, problem, params, state, rng):
-        """Build the pre-bound replay plan for one steady-state iteration.
-
-        Returns ``(replay, plan_launches)``: a zero-argument callable that
-        executes one full iteration, and the launch sequence it will charge
-        (``(name, section, n_elems, config, cost)`` tuples) for validation
-        against the capture.  Only called on engines with
-        :attr:`supports_graph`.
-        """
-        raise NotImplementedError
-
     def _graph_build_native(self, graph, problem, params, state, rng):
-        """Build the native (one-C-call-per-iteration) replay tier.
+        """Build the native (one-C-call-per-iteration) tier.
 
         Called by :class:`~repro.gpusim.graph.IterationRunner` with the
         capture graph, before the validate iteration.  Returns either
         ``(step, verify)`` — ``step()`` runs one full iteration through
         ``_fastpath.c`` and ``verify(run_reference)`` shadow-checks the
         validate iteration bitwise before promotion (see
-        :func:`repro.gpusim.fastpath.verify_step`) — or a
-        reason string naming why this run is not native-eligible.  The base
-        implementation opts out; engines whose captured iteration matches
-        the fast path's shape (float32 global-memory storage, global
-        topology) override it.
+        :func:`repro.gpusim.fastpath.verify_step`) — or a reason string
+        naming why this run is not native-eligible; such a run is demoted
+        to eager.  The base implementation opts out; engines whose captured
+        iteration matches the fast path's shape (float32 global-memory
+        storage, global topology) override it.
         """
         return "engine-has-no-native-plan"
 

@@ -189,7 +189,7 @@ def velocity_update(
     tier stays bit-identical.  Changing the order or grouping here
     requires the matching change in ``fastpath_step`` — the known-answer
     self-test and the promotion gate will otherwise demote every run to
-    the Python replay tier.
+    eager execution.
     """
     if out is None:
         out = np.empty_like(velocities)

@@ -177,93 +177,7 @@ class CpuEngineBase(Engine):
             bytes_per_elem=5 * _F32,
         )
 
-    # -- launch-graph replay ----------------------------------------------------
-    def _graph_build_replay(self, problem, params, state, rng):
-        """One pre-bound steady-state iteration (see :mod:`repro.gpusim.graph`).
-
-        CPU engines have no launcher, so the plan's launch list is empty and
-        the graph is pure clock charges.  Every static per-step cost is
-        resolved once through the same :func:`cpu_loop_cost` calls the eager
-        path makes (same floats, bitwise); the dynamic pbest-copy charge
-        stays live because its size is data-dependent.
-        """
-        n, d = state.n_particles, state.dim
-        n_elems = n * d
-        clock = self.clock
-        prof = problem.evaluator.profile()
-        eval_s = cpu_loop_cost(
-            self.cpu,
-            n_elems,
-            threads=self.threads,
-            flops_per_elem=prof.flops_per_elem + prof.reduction_flops_per_elem,
-            bytes_per_elem=_F32,
-            transcendental_per_elem=prof.sfu_per_elem,
-        ).seconds
-        scan_s = cpu_loop_cost(
-            self.cpu, n, threads=self.threads,
-            flops_per_elem=1.0, bytes_per_elem=8.0,
-        ).seconds
-        eff_threads = max(
-            1, int(round(self.threads * self.rng_parallel_efficiency))
-        )
-        rng_s = cpu_loop_cost(
-            self.cpu, 2 * n_elems, rng_per_elem=1.0, threads=eff_threads
-        ).seconds
-        clamp_flops = 2.0 if params.velocity_clamp is not None else 0.0
-        update_s = cpu_loop_cost(
-            self.cpu,
-            n_elems,
-            threads=self.threads,
-            flops_per_elem=10.0 + clamp_flops,
-            bytes_per_elem=5 * _F32,
-        ).seconds
-        evaluate = problem.evaluator.evaluate
-
-        def replay() -> None:
-            with clock.section("eval"):
-                values = evaluate(state.positions)
-                clock.advance(eval_s)
-            with clock.section("pbest"):
-                mask = pbest_update(state, values)
-                clock.advance(scan_s)
-                self._charge_pbest_copy(int(np.count_nonzero(mask)), d)
-            with clock.section("gbest"):
-                gbest_scan(state)
-                clock.advance(scan_s)
-            with clock.section("swarm"):
-                p = self._scheduled_params(params)
-                l_mat, g_mat = draw_weights(
-                    rng,
-                    n,
-                    d,
-                    out=(
-                        self._ws.array("l_weights", (n, d), np.float32),
-                        self._ws.array("g_weights", (n, d), np.float32),
-                    ),
-                )
-                social = social_positions(state, p.topology)
-                vbounds = self._current_velocity_bounds(problem, p)
-                velocity_update(
-                    state.velocities,
-                    state.positions,
-                    state.pbest_positions,
-                    social,
-                    l_mat,
-                    g_mat,
-                    p,
-                    vbounds,
-                    out=state.velocities,
-                    scratch=(
-                        self._ws.array("vel_pull_1", (n, d), np.float32),
-                        self._ws.array("vel_pull_2", (n, d), np.float32),
-                    ),
-                )
-                position_update(state.positions, state.velocities, problem, p)
-                clock.advance(rng_s)
-                clock.advance(update_s)
-
-        return replay, []
-
+    # -- launch-graph native tier -----------------------------------------------
     def _graph_build_native(self, graph, problem, params, state, rng):
         """The one-C-call iteration tier (see :mod:`repro.gpusim.fastpath`).
 

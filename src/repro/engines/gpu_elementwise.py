@@ -43,7 +43,7 @@ from repro._compat import deprecated_kwargs
 from repro.errors import InvalidParameterError
 from repro.gpusim import hostcache
 from repro.gpusim.context import GpuContext, make_context
-from repro.gpusim.costmodel import GpuCostParams, kernel_cost
+from repro.gpusim.costmodel import GpuCostParams
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import Kernel, KernelSpec
 from repro.gpusim.launch import resource_aware_config
@@ -596,146 +596,13 @@ class FastPSOEngine(Engine):
             alloc.free(l_buf)
             alloc.free(g_buf)
 
-    # -- launch-graph replay ----------------------------------------------------
+    # -- launch-graph hooks -----------------------------------------------------
     def _graph_blockers(self) -> str | None:
         if self.ctx.launcher.record_launches:
             return "record-launches"
         if self.ctx.launcher.fault_injector is not None:
             return "fault-injector"
         return None
-
-    def _plan_launch(self, key: str, n_elems: int, section: str):
-        """Resolve one launch's (kernel, config, cost) through the memoized
-        front doors, plus its capture-comparable plan tuple."""
-        kernel = self._kernels[key]
-        cfg = self._cfg(key, n_elems)
-        cost = kernel_cost(
-            self.ctx.spec, kernel.spec, cfg, n_elems,
-            self.ctx.launcher.cost_params,
-        )
-        return kernel, cost, (kernel.spec.name, section, n_elems, cfg, cost)
-
-    def _graph_build_replay(self, problem, params, state, rng):
-        """One pre-bound steady-state iteration (see :mod:`repro.gpusim.graph`).
-
-        Mirrors the eager four-section body exactly: the same semantics
-        callables in the same order, one ``clock.advance(cost.seconds)`` per
-        launch (costs come from the same memoized ``kernel_cost`` front
-        door, so every float add is bitwise-equal to eager's), real
-        allocator alloc/free for the per-iteration weight matrices (pool
-        hits advance the clock natively and keep allocator counters
-        truthful), and the same dynamic pbest-copy charge helper.  Dynamic
-        inputs — scheduled inertia, adaptive velocity bounds, the social
-        topology view — are fetched at call time, not baked in.
-        """
-        n, d = state.n_particles, state.dim
-        clock = self.clock
-        alloc = self.ctx.allocator
-        plan: list = []
-
-        if "evaluate_particle" in self._kernels:
-            eval_kernel, eval_cost, entry = self._plan_launch(
-                "evaluate_particle", n, "eval"
-            )
-        else:
-            eval_kernel, eval_cost, entry = self._plan_launch(
-                "evaluate", n * d, "eval"
-            )
-        plan.append(entry)
-        eval_sem = eval_kernel.semantics
-
-        pbest_kernel, pbest_cost, entry = self._plan_launch("pbest", n, "pbest")
-        plan.append(entry)
-
-        argmin_run, argmin_launches = self.ctx.reducer.prebound_argmin(n)
-        plan.extend(argmin_launches)
-
-        weights_kernel, weights_cost, entry = self._plan_launch(
-            "weights_rng", 2 * n * d, "swarm"
-        )
-        plan.append(entry)
-        weights_sem = weights_kernel.semantics
-
-        if self.fuse_update:
-            fused_kernel, fused_cost, entry = self._plan_launch(
-                "fused_update", n * d, "swarm"
-            )
-            plan.append(entry)
-            fused_sem = fused_kernel.semantics
-        else:
-            vel_kernel, vel_cost, entry = self._plan_launch(
-                "velocity", n * d, "swarm"
-            )
-            plan.append(entry)
-            vel_sem = vel_kernel.semantics
-            pos_kernel, pos_cost, entry = self._plan_launch(
-                "position", n * d, "swarm"
-            )
-            plan.append(entry)
-            pos_sem = pos_kernel.semantics
-
-        def replay() -> None:
-            with clock.section("eval"):
-                values = eval_sem(state.positions)
-                clock.advance(eval_cost.seconds)
-            with clock.section("pbest"):
-                mask = pbest_update(state, values)
-                clock.advance(pbest_cost.seconds)
-                self._charge_pbest_copy(int(np.count_nonzero(mask)), d)
-            with clock.section("gbest"):
-                idx, val = argmin_run(state.pbest_values)
-                if val < state.gbest_value:
-                    state.gbest_value = val
-                    state.gbest_index = idx
-                    state.gbest_position = state.pbest_positions[idx].copy()
-            with clock.section("swarm"):
-                p = self._scheduled_params(params)
-                l_buf = alloc.alloc_like((n, d), self.storage_dtype)
-                g_buf = alloc.alloc_like((n, d), self.storage_dtype)
-                try:
-                    l_mat, g_mat = weights_sem(rng, n, d)
-                    clock.advance(weights_cost.seconds)
-                    social = social_positions(state, p.topology)
-                    vbounds = self._current_velocity_bounds(problem, p)
-                    if self.fuse_update:
-                        fused_sem(
-                            state.velocities,
-                            state.positions,
-                            state.pbest_positions,
-                            social,
-                            l_mat,
-                            g_mat,
-                            p,
-                            vbounds,
-                            problem,
-                        )
-                        clock.advance(fused_cost.seconds)
-                    else:
-                        vel_kwargs = {}
-                        if self.backend == "global":
-                            scratch = self._vel_scratch(n, d)
-                            if scratch is not None:
-                                vel_kwargs["scratch"] = scratch
-                        vel_sem(
-                            state.velocities,
-                            state.positions,
-                            state.pbest_positions,
-                            social,
-                            l_mat,
-                            g_mat,
-                            p,
-                            vbounds,
-                            out=state.velocities,
-                            **vel_kwargs,
-                        )
-                        clock.advance(vel_cost.seconds)
-                        pos_sem(state.positions, state.velocities, problem, p)
-                        clock.advance(pos_cost.seconds)
-                finally:
-                    alloc.free(l_buf)
-                    alloc.free(g_buf)
-
-        return replay, plan
 
     def _graph_build_native(self, graph, problem, params, state, rng):
         """The one-C-call iteration tier (see :mod:`repro.gpusim.fastpath`).

@@ -159,13 +159,14 @@ class MemoryCorruptionError(GpuSimError):
 
 
 class GraphReplayError(GpuSimError):
-    """A launch-graph replay diverged from its captured iteration.
+    """A replayed iteration diverged from its captured iteration.
 
-    Raised when the first replayed iteration's charge sequence, launch
-    sequence or RNG consumption does not match what capture recorded.  This
-    indicates a bug in an engine's replay plan (eager and replay paths out
-    of sync), never a data-dependent condition — those fall back to eager
-    execution during validation instead of raising.
+    Raised when a fused multi-swarm round (:mod:`repro.batch.fused`)
+    consumes a different number of Philox blocks for a member than the
+    member's captured iteration recorded.  This indicates a bug in the
+    stacked loop (it and the eager path out of sync), never a
+    data-dependent condition — those fall back to eager execution during
+    validation instead of raising.
     """
 
 

@@ -1,9 +1,9 @@
 /* The captured FastPSO iteration body as one native call.
  *
  * Compiled on demand by repro.gpusim.fastpath (via repro.gpusim.native)
- * and called through ctypes once per replayed iteration.  The call fuses
- * everything the Python replay does between the objective evaluation and
- * the clock charges:
+ * and called through ctypes once per native-tier iteration.  The call
+ * fuses everything the eager iteration body does between the objective
+ * evaluation and the clock charges:
  *
  *   1. pbest compare-and-claim (strict <, so NaN never claims and ties
  *      keep the earlier best) with the d-wide position row copy;

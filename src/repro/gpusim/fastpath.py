@@ -1,11 +1,13 @@
 """Native iteration fast path: one C call per captured PSO iteration.
 
-Graph replay (PR 4) removed the launch pipeline from the steady state but
-still executes the iteration *body* — pbest claim, gbest reduction, two
-Philox draws, velocity/position update — as a chain of NumPy ufunc sweeps.
-This module compiles that body (``_fastpath.c``, via the shared
-:mod:`repro.gpusim.native` loader) into a single ``fastpath_step`` call
-operating in place on the run's stable buffers, and provides:
+An eager iteration runs its *body* — pbest claim, gbest reduction, two
+Philox draws, velocity/position update — through the launch pipeline as a
+chain of NumPy ufunc sweeps.  This module compiles that body
+(``_fastpath.c``, via the shared :mod:`repro.gpusim.native` loader) into a
+single ``fastpath_step`` call operating in place on the run's stable
+buffers.  It is the steady-state tier of the launch-graph lifecycle
+(:mod:`repro.gpusim.graph`); every run it does not take runs eagerly.  The
+module provides:
 
 * :class:`NativePlan` — the per-run binding: a C-side ``fastpath_plan``
   struct built once from the swarm state, the workspace weight buffers and
@@ -21,7 +23,7 @@ operating in place on the run's stable buffers, and provides:
   the *trusted* traced eager iteration runs on the real state, the C step
   on shadow copies of the pre-iteration state, and every output buffer
   must match bitwise.  Unverified native code never touches the real run;
-  a mismatch keeps it on the Python replay tier.
+  a mismatch demotes it to eager.
 
 Bit-parity contract: the C step performs, per element, the exact IEEE
 operation sequence of the NumPy scratch fast path (see ``_fastpath.c``),
@@ -30,8 +32,8 @@ consumes exactly ``2 * ceil(n*d / 4)`` Philox blocks per iteration — the
 same stream consumption :func:`repro.core.swarm.draw_weights` performs.
 
 Set ``REPRO_NO_NATIVE_FASTPATH=1`` to disable (checked on every load);
-no compiler or a failed known-answer self-test silently fall back to the
-Python replay tier.
+no compiler or a failed known-answer self-test silently fall back to
+eager execution.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def _self_test(lib: ctypes.CDLL) -> bool:
     plo = np.full(d, -4.0, dtype=np.float32)
     phi = np.full(d, 4.0, dtype=np.float32)
 
-    # Reference: the shared module numerics, in replay order.
+    # Reference: the shared module numerics, in eager order.
     rng_ref = ParallelRNG(seed=0xC0FFEE, stream_id=9)
     state = SwarmState(
         positions=positions.copy(),

@@ -1,14 +1,18 @@
-"""Launch-graph capture & replay: the CUDA-Graphs-style iteration fast path.
+"""Launch-graph capture: the CUDA-Graphs-style iteration fast path.
 
-PR 1 made every step of the launch pipeline a dictionary hit; this module
-removes the pipeline from the steady state entirely.  The idea is the same
-as CUDA Graphs in production inference stacks: a PSO iteration launches the
-same kernels with the same geometry every time, so after observing one
-steady-state iteration the host can *replay* the whole iteration as a flat
-sequence of pre-bound calls — no kernel dict lookups, no spec hashing, no
-config resolution, no per-launch profiler updates.
+The idea is the same as CUDA Graphs in production inference stacks: a PSO
+iteration launches the same kernels with the same geometry every time, so
+after observing one steady-state iteration the host can run the whole
+iteration as one fixed step — no kernel dict lookups, no spec hashing, no
+config resolution, no per-launch profiler updates.  Here that step is the
+native tier (:mod:`repro.gpusim.fastpath`): one C call per iteration plus
+one pass over the captured clock charges.
 
-The lifecycle, driven by :class:`IterationRunner`:
+The lifecycle, driven by :class:`IterationRunner`, has two execution
+tiers::
+
+    warmup -> capture -> validate -+-> native   (verified C step)
+                                   +-> eager    (every demotion)
 
 ``warmup``
     The first iteration runs eagerly, untraced.  It differs from the steady
@@ -23,11 +27,10 @@ The lifecycle, driven by :class:`IterationRunner`:
     The third iteration runs eagerly, traced again.  If its charges and
     launches don't match the capture (outside slots marked *dynamic*, e.g.
     the pbest-copy charge sized by the improved count), the iteration shape
-    is data-dependent and the run permanently falls back to eager — by
-    design, not as an error.  Promotion happens on this same iteration: a
-    native-eligible run (see ``Engine._graph_build_native``) builds its
-    native step from the capture first and runs the traced eager iteration
-    as the trusted reference inside
+    is data-dependent and the run falls back to eager — by design, not as
+    an error.  Promotion happens on this same iteration: the engine builds
+    its native step from the capture (see ``Engine._graph_build_native``)
+    and runs the traced eager iteration as the trusted reference inside
     :func:`repro.gpusim.fastpath.verify_step`, the C step shadowed on
     copies; every output buffer and the allocator delta must match bitwise.
 ``native``
@@ -36,33 +39,28 @@ The lifecycle, driven by :class:`IterationRunner`:
     ``info["native"]`` records ``"active"`` or the demotion reason;
     ``info["native_replays"]`` counts these iterations (also included in
     ``info["replays"]``, so profiler reconciliation is tier-agnostic).
-``first-replay`` / ``replay``
-    The Python replay tier, for runs the native tier refuses (a shadow
-    mismatch, no compiler, an unsupported shape,
-    ``REPRO_NO_NATIVE_FASTPATH=1``, or ``allow_native = False``): the
-    engine's pre-bound plan
-    (:meth:`~repro.core.engine.Engine._graph_build_replay`), its declared
-    launches cross-checked against the capture and its first replay traced
-    and verified (:class:`~repro.errors.GraphReplayError` on divergence — a
-    repro bug, not a user condition).
+``eager``
+    Every demotion lands here: a run the native tier refuses (an
+    unsupported shape, no compiler, ``REPRO_NO_NATIVE_FASTPATH=1``, a
+    shadow mismatch), a data-dependent iteration shape, or a run a host
+    hands over with :meth:`IterationRunner.demote`.  The iterations already
+    run were eager too, so a demoted run is exactly a ``graph=False`` run.
 
-Replay is bit-identical because it performs the *same sequence of float
-additions* on the clock as eager: one ``advance(cost.seconds)`` per launch
-in eager order, real allocator alloc/free calls and the same dynamic
-charges through the same helpers.  Profiler statistics are aggregated per
-graph — replayed launches touch no
+The native step is bit-identical because it performs the *same sequence of
+float additions* on the clock as eager (the captured charges, in order) and
+the same IEEE operations on the swarm.  Profiler statistics are aggregated
+per graph — native iterations touch no
 :class:`~repro.gpusim.launch.LaunchStats` until :meth:`IterationRunner.finalize`
 folds ``replays x captured-cost`` into the launcher's buckets.
 
-Eager fallbacks (the graph is simply not used): ``graph=False``, a stop
-criterion, a callback, an attached fault injector, ``record_launches=True``
-or an engine without a replay plan.  Checkpoint *capture* composes with
-replay (snapshots read state the replay keeps current); a *restored* run
-rebuilds its runner from scratch, so the graph is re-captured after resume
-and can never replay stale bindings — and re-promotes to the native tier
-when eligible.  Hosts that drive a runner's replay directly (the fused
-multi-swarm ramp) set ``allow_native = False`` before stepping, pinning
-the runner to the Python replay tier whose phase transitions they rely on.
+Runs that are eager from the start (the graph is simply not used):
+``graph=False``, a stop criterion, a callback, a budget, a health guard, an
+attached fault injector, ``record_launches=True`` or an engine without
+graph support.  Checkpoint *capture* composes with the native tier
+(snapshots read state the step keeps current); a *restored* run rebuilds
+its runner from scratch, so the graph is re-captured after resume and can
+never run stale bindings — and re-promotes to the native tier when
+eligible.
 """
 
 from __future__ import annotations
@@ -70,8 +68,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import Callable
-
-from repro.errors import GraphReplayError
 
 __all__ = ["CapturedLaunch", "LaunchGraph", "IterationRunner", "trace_iteration"]
 
@@ -186,11 +182,11 @@ def trace_iteration(engine, rng, run_body) -> LaunchGraph:
 
 
 class IterationRunner:
-    """Drives one engine's iterations through the capture/replay lifecycle.
+    """Drives one engine's iterations through the capture lifecycle.
 
     Built once per ``optimize()`` call (and per worker, for multi-GPU).
-    :meth:`run_iteration` either runs the eager four-section body or replays
-    the captured graph; :meth:`finalize` reconciles profiler statistics.
+    :meth:`run_iteration` either runs the eager four-section body or the
+    native step; :meth:`finalize` reconciles profiler statistics.
     The runner publishes its state on ``engine.graph_info`` for tests and
     diagnostics.
     """
@@ -203,8 +199,6 @@ class IterationRunner:
         "rng",
         "phase",
         "graph",
-        "allow_native",
-        "_replay",
         "_native",
         "_launcher",
         "info",
@@ -227,10 +221,6 @@ class IterationRunner:
         self.rng = rng
         self.phase = "eager" if eager_reason is not None else "warmup"
         self.graph: LaunchGraph | None = None
-        #: Hosts that drive the Python replay directly (fused multi-swarm
-        #: ramp) set this False before stepping to pin the replay tier.
-        self.allow_native = True
-        self._replay: Callable[[], None] | None = None
         self._native: Callable[[], None] | None = None
         ctx = getattr(engine, "ctx", None)
         self._launcher = getattr(ctx, "launcher", None)
@@ -267,10 +257,6 @@ class IterationRunner:
             self.info["replays"] += 1
             self.info["native_replays"] += 1
             return
-        if phase == "replay":
-            self._replay()
-            self.info["replays"] += 1
-            return
         if phase in ("eager", "warmup"):
             self._run_eager()
             if phase == "warmup":
@@ -281,32 +267,8 @@ class IterationRunner:
             self.info["captured_at"] = t
             self.phase = "validate"
             return
-        if phase == "validate":
-            self._validate()
-            return
-        # phase == "first-replay": verified replay, then go flat.
-        clock = self.engine.clock
-        clock.begin_trace()
-        rng_before = self.rng.position
-        try:
-            self._replay()
-        finally:
-            trace = clock.end_trace()
-        self.info["replays"] += 1
-        graph = self.graph
-        if not graph.trace_matches(trace):
-            raise GraphReplayError(
-                "replayed iteration charged the clock differently from its "
-                "captured iteration; the engine's replay plan is out of "
-                "sync with its eager path"
-            )
-        if self.rng.position - rng_before != graph.rng_blocks:
-            raise GraphReplayError(
-                "replayed iteration consumed "
-                f"{self.rng.position - rng_before} RNG blocks; capture "
-                f"recorded {graph.rng_blocks}"
-            )
-        self.phase = "replay"
+        # phase == "validate"
+        self._validate()
 
     def _validate(self) -> None:
         """The validate iteration, which also gates native promotion.
@@ -332,34 +294,21 @@ class IterationRunner:
         graph = self.graph
         if not graph.matches(seen):
             # Data-dependent iteration shape: stay eager for this run.
-            self._demote("iteration-shape-changed")
+            self.demote("iteration-shape-changed")
             return
         if verified and seen.alloc_delta == graph.alloc_delta:
             self._native = native[0]
             self.phase = "native"
             self.info["native"] = "active"
             return
-        replay, plan_launches = self.engine._graph_build_replay(
-            self.problem, self.params, self.state, self.rng
-        )
-        if not graph.launches_match(plan_launches):
-            # The engine's plan disagrees with what eager actually did;
-            # refuse to replay it (a repro bug — surface loudly in the
-            # suite via graph_info, but never corrupt a user run).
-            self._demote("replay-plan-mismatch")
-            return
-        self.info["native"] = native if isinstance(native, str) else "parity-mismatch"
-        self._replay = replay
-        self.phase = "first-replay"
+        self.demote(native if isinstance(native, str) else "parity-mismatch")
 
     def _build_native(self):
         """The engine's ``(step, verify)`` native pair, or why there is none.
 
-        Every failure mode is a reason string that leaves the run on the
-        Python replay tier — promotion is strictly best-effort.
+        Every failure mode is a reason string that demotes the run to
+        eager — promotion is strictly best-effort.
         """
-        if not self.allow_native:
-            return "host-managed"
         if os.environ.get("REPRO_NO_NATIVE_FASTPATH"):
             return "disabled-by-env"
         try:
@@ -370,17 +319,24 @@ class IterationRunner:
             return "native-build-failed"
         return built or "engine-has-no-native-plan"
 
-    def _demote(self, reason: str) -> None:
+    def demote(self, reason: str) -> None:
+        """Run every remaining iteration eagerly, recording *reason*.
+
+        Also the hand-over for hosts that drive the iterations themselves
+        (the fused multi-swarm ramp demotes with ``"host-managed"`` before
+        the first step).  Call it before the run reaches the native tier:
+        a native run's ``replays`` are reconciled from the graph this
+        drops.
+        """
         self.phase = "eager"
         self.graph = None
-        self._replay = None
         self.info["mode"] = "eager"
         self.info["eager_reason"] = reason
         if self.info["native"] in (None, "active"):
             self.info["native"] = reason
 
     def finalize(self) -> None:
-        """Reconcile aggregated profiling for the replayed iterations."""
+        """Reconcile aggregated profiling for the native iterations."""
         if (
             self.graph is not None
             and self._launcher is not None

@@ -163,9 +163,9 @@ class LaunchStats:
     def add_many(self, cost: KernelCost, n_elems: int, count: int) -> None:
         """Fold *count* identical launches in one update.
 
-        Used by launch-graph replay, which executes a launch's semantics
-        ``count`` times without touching the stats and reconciles the
-        profile here when the graph is flushed.
+        Used by the native tier and the fused multi-swarm loop, which run
+        a launch's semantics ``count`` times without touching the stats and
+        reconcile the profile here when the graph is flushed.
         """
         self.launches += count
         self.total_elems += count * n_elems

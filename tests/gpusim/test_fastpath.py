@@ -3,9 +3,11 @@
 The contract under test: when a run is promoted to the native
 one-C-call-per-iteration tier, every observable — trajectory, best value
 and position, simulated seconds, per-step breakdown, peak memory — is
-bit-identical to the Python replay tier and to eager execution; and every
-ineligible or degraded configuration falls back to the Python replay tier
-*silently*, with the reason visible on ``engine.graph_info["native"]``.
+bit-identical to eager execution; and every ineligible or degraded
+configuration is demoted to eager *silently* on the validate iteration,
+with the reason visible on ``engine.graph_info["native"]``.  A demoted run
+ran every iteration eagerly, so it matches a ``graph=False`` run exactly,
+profile included.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def assert_identical(a, b, *, n=64, d=10, exact_profile=True):
     the clock's section totals, the device allocator's counters and
     weight-class free list, and the profile rows.
 
-    Graph runs fold ``replays x cost`` into the profile in one multiply,
+    Native runs fold ``replays x cost`` into the profile in one multiply,
     so against an eager run (``exact_profile=False``) the profile's float
     sums agree to rounding and its launch counts exactly."""
     (engine_a, a), (engine_b, b) = a, b
@@ -119,7 +121,7 @@ def assert_identical(a, b, *, n=64, d=10, exact_profile=True):
             assert row[1:] == pytest.approx(rows_b[name][1:], rel=1e-12), name
 
 
-#: Parameter variants the native step must replay bit-identically: the
+#: Parameter variants the native step must reproduce bit-identically: the
 #: static ones hoist inertia and bounds out of the step, the others
 #: resolve them every iteration.
 PARAM_VARIANTS = {
@@ -135,21 +137,22 @@ PARAM_VARIANTS = {
 }
 
 
-def assert_three_tiers(name, problem, monkeypatch, **kwargs):
-    """Native, Python replay (env-gated) and eager runs are identical."""
+def assert_native_matches_eager(name, problem, monkeypatch, **kwargs):
+    """Native, env-gated (demoted to eager) and ``graph=False`` runs are
+    identical."""
     native_run = run(name, problem, **kwargs)
     assert native_run[0].graph_info["mode"] == "graph"
     assert native_run[0].graph_info["native"] == "active"
     assert native_run[0].graph_info["native_replays"] > 0
     monkeypatch.setenv(ENV_GATE, "1")
     gated_run = run(name, problem, **kwargs)
-    assert gated_run[0].graph_info["mode"] == "graph"
+    assert gated_run[0].graph_info["mode"] == "eager"
     assert gated_run[0].graph_info["native"] == "disabled-by-env"
-    assert gated_run[0].graph_info["native_replays"] == 0
+    assert gated_run[0].graph_info["replays"] == 0
     monkeypatch.delenv(ENV_GATE)
     eager_run = run(name, problem, graph=False, **kwargs)
     n, d = kwargs.get("n", 64), problem.dim
-    assert_identical(native_run, gated_run, n=n, d=d)
+    assert_identical(gated_run, eager_run, n=n, d=d)
     assert_identical(native_run, eager_run, n=n, d=d, exact_profile=False)
     return native_run
 
@@ -158,7 +161,7 @@ def assert_three_tiers(name, problem, monkeypatch, **kwargs):
 class TestNativeTierParity:
     @pytest.mark.parametrize("name", NATIVE_ENGINES)
     def test_native_matches_replay_and_eager(self, name, problem, monkeypatch):
-        assert_three_tiers(name, problem, monkeypatch)
+        assert_native_matches_eager(name, problem, monkeypatch)
 
     def test_lifecycle_counters(self, problem):
         engine, _ = run("fastpso", problem, iters=20)
@@ -174,7 +177,7 @@ class TestNativeTierParity:
     def test_odd_tail_shapes(self, monkeypatch):
         """n*d not divisible by 4 exercises the partial final Philox block
         and the SIMD remainder loops."""
-        assert_three_tiers(
+        assert_native_matches_eager(
             "fastpso", Problem.from_benchmark("sphere", 7), monkeypatch, n=13
         )
 
@@ -183,7 +186,9 @@ class TestNativeTierParity:
     )
     def test_parameter_variants(self, problem, overrides, monkeypatch):
         params = replace(PAPER_DEFAULTS, seed=7, **overrides)
-        assert_three_tiers("fastpso", problem, monkeypatch, params=params)
+        assert_native_matches_eager(
+            "fastpso", problem, monkeypatch, params=params
+        )
 
     @pytest.mark.parametrize("name", NATIVE_ENGINES[1:])
     @pytest.mark.parametrize(
@@ -193,19 +198,21 @@ class TestNativeTierParity:
         self, name, problem, overrides, monkeypatch
     ):
         params = replace(PAPER_DEFAULTS, seed=7, **overrides)
-        assert_three_tiers(name, problem, monkeypatch, params=params)
+        assert_native_matches_eager(name, problem, monkeypatch, params=params)
 
     def test_fold_fallback_on_caching_allocator(self, problem, monkeypatch):
         """With the fold refused on every step, the native step's real
         pool-hit alloc/free calls land in their captured slots."""
         monkeypatch.setattr(CachingAllocator, "fold_hits", lambda *args: False)
-        native_run = assert_three_tiers("fastpso", problem, monkeypatch)
+        native_run = assert_native_matches_eager("fastpso", problem, monkeypatch)
         assert native_run[0].graph_info["native_replays"] == 17
 
     def test_direct_allocator_charges_every_iteration(self, problem, monkeypatch):
         """Table 4's "w/ reallocation" engine: no pool to fold, so the native
         step falls back to real malloc/free calls on every iteration."""
-        engine, _ = assert_three_tiers("fastpso-nocache", problem, monkeypatch)
+        engine, _ = assert_native_matches_eager(
+            "fastpso-nocache", problem, monkeypatch
+        )
         stats = engine.ctx.allocator.stats
         assert isinstance(engine.ctx.allocator, DirectAllocator)
         assert engine.graph_info["native_replays"] == 17
@@ -221,34 +228,38 @@ class TestNativeTierParity:
         assert fastpath._self_test(lib)
 
 
+def assert_demoted(engine, reason):
+    """The run was captured, refused on validate and finished eagerly."""
+    info = engine.graph_info
+    assert info["captured_at"] == 1
+    assert info["mode"] == "eager"
+    assert info["eager_reason"] == reason
+    assert info["native"] == reason
+    assert info["replays"] == info["native_replays"] == 0
+
+
 class TestIneligibleConfigurations:
-    """Shapes the native tier refuses stay on the Python replay tier with
-    the refusal reason recorded — and remain bit-identical to eager."""
+    """Shapes the native tier refuses are demoted to eager with the refusal
+    reason recorded — and match a ``graph=False`` run exactly."""
 
     def test_fp16_storage_refused(self, problem):
         graph_run = run("fastpso-fp16", problem)
-        engine = graph_run[0]
-        assert engine.graph_info["mode"] == "graph"
-        assert engine.graph_info["native"] == "native-unsupported-storage-dtype"
+        assert_demoted(graph_run[0], "native-unsupported-storage-dtype")
         eager_run = run("fastpso-fp16", problem, graph=False)
-        assert_identical(graph_run, eager_run, exact_profile=False)
+        assert_identical(graph_run, eager_run)
 
     def test_non_global_backend_refused(self, problem):
         graph_run = run("fastpso-shared", problem)
-        engine = graph_run[0]
-        assert engine.graph_info["mode"] == "graph"
-        assert engine.graph_info["native"] == "native-unsupported-backend:shared"
+        assert_demoted(graph_run[0], "native-unsupported-backend:shared")
         eager_run = run("fastpso-shared", problem, graph=False)
-        assert_identical(graph_run, eager_run, exact_profile=False)
+        assert_identical(graph_run, eager_run)
 
     def test_ring_topology_refused(self, problem):
         params = replace(PAPER_DEFAULTS, seed=7, topology="ring")
         graph_run = run("fastpso", problem, params=params)
-        engine = graph_run[0]
-        assert engine.graph_info["mode"] == "graph"
-        assert engine.graph_info["native"] == "native-unsupported-topology:ring"
+        assert_demoted(graph_run[0], "native-unsupported-topology:ring")
         eager_run = run("fastpso", problem, params=params, graph=False)
-        assert_identical(graph_run, eager_run, exact_profile=False)
+        assert_identical(graph_run, eager_run)
 
     def test_eager_runs_never_consider_native(self, problem):
         from repro.reliability.faults import FaultInjector, FaultSpec
@@ -277,8 +288,7 @@ class TestFallbacks:
         # on machines with and without a compiler.
         monkeypatch.setenv(ENV_GATE, "1")
         engine, _ = run("fastpso", problem)
-        assert engine.graph_info["mode"] == "graph"
-        assert engine.graph_info["native"] == "disabled-by-env"
+        assert_demoted(engine, "disabled-by-env")
         assert fastpath.load() is None
 
     def test_no_compiler_falls_back_silently(
@@ -291,24 +301,19 @@ class TestFallbacks:
         fastpath._MODULE.invalidate()
         try:
             graph_run = run("fastpso", problem)
-            engine = graph_run[0]
-            assert engine.graph_info["mode"] == "graph"
-            assert engine.graph_info["native"] == "native-unavailable"
-            assert engine.graph_info["replays"] == 17
+            assert_demoted(graph_run[0], "native-unavailable")
         finally:
             monkeypatch.undo()
             fastpath._MODULE.invalidate()
         eager_run = run("fastpso", problem, graph=False)
-        assert_identical(graph_run, eager_run, exact_profile=False)
+        assert_identical(graph_run, eager_run)
 
     @needs_native
-    def test_verify_mismatch_demotes_to_python_replay(
-        self, problem, monkeypatch
-    ):
+    def test_verify_mismatch_demotes_to_eager(self, problem, monkeypatch):
         """The gate runs once, on the validate iteration itself (before any
-        replay).  A failed gate keeps the run on the Python replay tier with
-        an unchanged trajectory — the gate runs the real iteration through
-        the trusted path whichever way the verdict goes."""
+        native step).  A failed gate demotes the run to eager with an
+        unchanged trajectory — the gate runs the real iteration through the
+        trusted path whichever way the verdict goes."""
         calls = []
 
         def always_mismatch(plan, run_reference, eval_fn, engine, *args):
@@ -320,37 +325,35 @@ class TestFallbacks:
 
         monkeypatch.setattr(fastpath, "verify_step", always_mismatch)
         mismatch_run = run("fastpso", problem, iters=20)
-        engine = mismatch_run[0]
         assert calls == [(1, 0)]
-        assert engine.graph_info["mode"] == "graph"
-        assert engine.graph_info["native"] == "parity-mismatch"
-        assert engine.graph_info["native_replays"] == 0
-        assert engine.graph_info["replays"] == 17
+        assert_demoted(mismatch_run[0], "parity-mismatch")
         monkeypatch.undo()
-        assert_identical(mismatch_run, run("fastpso", problem, iters=20))
+        native_run = run("fastpso", problem, iters=20)
+        assert_identical(mismatch_run, native_run, exact_profile=False)
         eager_run = run("fastpso", problem, iters=20, graph=False)
-        assert_identical(mismatch_run, eager_run, exact_profile=False)
+        assert_identical(mismatch_run, eager_run)
 
-    @needs_native
     def test_host_managed_pin_skips_promotion(self, problem, monkeypatch):
-        """Hosts that drive the replay closures directly (the fused
-        multi-swarm ramp) set ``allow_native = False``; the runner must
-        honor the pin and never install the native step."""
-        orig = IterationRunner.run_iteration
+        """Hosts that drive the iterations themselves (the fused
+        multi-swarm ramp) hand the runner to eager with
+        :meth:`IterationRunner.demote` before the first step; the run never
+        captures or installs the native step."""
+        orig = IterationRunner.__init__
 
-        def pinned(self, t):
-            self.allow_native = False
-            return orig(self, t)
+        def handed_over(self, *args, **kwargs):
+            orig(self, *args, **kwargs)
+            self.demote("host-managed")
 
-        monkeypatch.setattr(IterationRunner, "run_iteration", pinned)
+        monkeypatch.setattr(IterationRunner, "__init__", handed_over)
         pinned_run = run("fastpso", problem, iters=20)
-        engine = pinned_run[0]
-        assert engine.graph_info["mode"] == "graph"
-        assert engine.graph_info["native"] == "host-managed"
-        assert engine.graph_info["native_replays"] == 0
-        assert engine.graph_info["replays"] == 17
+        info = pinned_run[0].graph_info
+        assert info["mode"] == "eager"
+        assert info["eager_reason"] == info["native"] == "host-managed"
+        assert info["captured_at"] is None
+        assert info["replays"] == 0
         monkeypatch.undo()
-        assert_identical(pinned_run, run("fastpso", problem, iters=20))
+        eager_run = run("fastpso", problem, iters=20, graph=False)
+        assert_identical(pinned_run, eager_run)
 
 
 @needs_native

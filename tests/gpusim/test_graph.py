@@ -1,11 +1,12 @@
-"""Launch-graph capture & replay (:mod:`repro.gpusim.graph`).
+"""Launch-graph capture (:mod:`repro.gpusim.graph`).
 
 The contract under test: with ``graph=True`` (the default) an engine's
 results are bit-identical to eager execution — trajectory, best value,
 simulated seconds, per-step breakdown, allocator counters and aggregated
-profiler totals — while the steady-state iterations actually go through the
-replay path; and everything that can change the iteration shape falls back
-to eager execution, visibly via ``engine.graph_info``.
+profiler totals.  Every run is captured and validated; the steady-state
+iterations then run on the native tier when the engine's shape allows it,
+and eagerly otherwise.  Everything that can change the iteration shape
+keeps the run eager from the start, visibly via ``engine.graph_info``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
 from repro.core.stopping import StallStop
 from repro.engines import make_engine
+from repro.gpusim import fastpath
 from repro.gpusim.graph import LaunchGraph
 from repro.gpusim.launch import LaunchStats
 
@@ -30,6 +32,13 @@ GRAPH_ENGINES = [
     "fastpso-omp",
     "fastpso-mgpu",
 ]
+
+#: Graph engines whose captured shape the native tier refuses: they are
+#: demoted to eager on the validate iteration.
+NATIVE_REFUSED = {"fastpso-shared", "fastpso-tensorcore", "fastpso-fp16"}
+
+#: Engines whose eager-from-the-start reasons are pinned below.
+FALLBACK_ENGINES = ["fastpso", "fastpso-mgpu"]
 
 
 @pytest.fixture
@@ -54,8 +63,17 @@ class TestBitIdenticalReplay:
     def test_graph_matches_eager(self, name, problem):
         graph_engine, graph_result = run(name, problem, graph=True)
         eager_engine, eager_result = run(name, problem, graph=False)
-        assert graph_engine.graph_info["mode"] == "graph"
-        assert graph_engine.graph_info["replays"] > 0
+        info = graph_engine.graph_info
+        assert info["captured_at"] == 1
+        if fastpath.available() and name not in NATIVE_REFUSED:
+            assert info["mode"] == "graph"
+            assert info["native"] == "active"
+            assert info["replays"] > 0
+        else:
+            # Refused by the native tier: demoted to eager on validate.
+            assert info["mode"] == "eager"
+            assert info["eager_reason"] == info["native"]
+            assert info["replays"] == 0
         assert eager_engine.graph_info["mode"] == "eager"
         assert eager_engine.graph_info["eager_reason"] == "graph=False"
 
@@ -76,10 +94,15 @@ class TestBitIdenticalReplay:
     def test_lifecycle_counters(self, problem):
         engine, _ = run("fastpso", problem, iters=20)
         info = engine.graph_info
-        # warmup(0) + capture(1) + validate(2) leaves 17 replayed iterations.
+        # warmup(0) + capture(1) + validate(2) leaves 17 native iterations,
+        # or 17 eager ones where the native tier is unavailable.
         assert info["captured_at"] == 1
-        assert info["replays"] == 17
-        assert info["eager_reason"] is None
+        if fastpath.available():
+            assert info["replays"] == 17
+            assert info["eager_reason"] is None
+        else:
+            assert info["replays"] == 0
+            assert info["eager_reason"] in ("disabled-by-env", "native-unavailable")
 
     def test_profiler_stats_match_eager(self, problem):
         graph_engine, _ = run("fastpso", problem, graph=True)
@@ -97,63 +120,76 @@ class TestBitIdenticalReplay:
     def test_allocator_counters_stay_truthful(self, problem):
         engine, _ = run("fastpso", problem, iters=20)
         stats = engine.ctx.allocator.stats
-        # Replayed iterations account 2 weight buffers per iteration (real
-        # alloc/free on the replay tier, folded into the captured delta on
-        # the native tier), pool hits from iteration 1 on.
+        # Every iteration accounts 2 weight buffers (real alloc/free when
+        # eager, folded into the captured delta on the native tier), pool
+        # hits from iteration 1 on.
         assert stats.pool_hits >= 2 * 18
         assert stats.allocs == stats.frees
 
 
+def _launch_records(engine):
+    """Per-launch records of a single- or multi-GPU engine."""
+    workers = getattr(engine, "workers", [engine])
+    return [r for w in workers for r in w.ctx.launcher.records]
+
+
 class TestEagerFallbacks:
     def test_stop_criterion_forces_eager(self, problem):
-        engine = make_engine("fastpso")
-        engine.optimize(
-            problem,
-            n_particles=32,
-            max_iter=10,
-            params=PSOParams(seed=7),
-            stop=StallStop(patience=50),
-        )
-        assert engine.graph_info["mode"] == "eager"
-        assert engine.graph_info["eager_reason"] == "stop-criterion"
+        for name in FALLBACK_ENGINES:
+            engine = make_engine(name)
+            engine.optimize(
+                problem,
+                n_particles=32,
+                max_iter=10,
+                params=PSOParams(seed=7),
+                stop=StallStop(patience=50),
+            )
+            assert engine.graph_info["mode"] == "eager", name
+            assert engine.graph_info["eager_reason"] == "stop-criterion", name
 
     def test_callback_forces_eager(self, problem):
-        engine = make_engine("fastpso")
-        engine.optimize(
-            problem,
-            n_particles=32,
-            max_iter=10,
-            params=PSOParams(seed=7),
-            callback=lambda t, state: False,
-        )
-        assert engine.graph_info["eager_reason"] == "callback"
+        for name in FALLBACK_ENGINES:
+            engine = make_engine(name)
+            engine.optimize(
+                problem,
+                n_particles=32,
+                max_iter=10,
+                params=PSOParams(seed=7),
+                callback=lambda t, state: False,
+            )
+            assert engine.graph_info["eager_reason"] == "callback", name
 
     def test_record_launches_forces_eager(self, problem):
-        engine, result = run("fastpso", problem, record_launches=True)
-        assert engine.graph_info["eager_reason"] == "record-launches"
-        # The per-launch log is complete: every iteration's launches are
-        # individually recorded, which replay could not provide.
-        names = {r.kernel_name for r in engine.ctx.launcher.records}
-        assert "evaluation_kernel" in names
-        assert "swarm_velocity_update" in names
+        for name in FALLBACK_ENGINES:
+            engine, result = run(name, problem, record_launches=True)
+            assert engine.graph_info["eager_reason"] == "record-launches", name
+            # The per-launch log is complete: every iteration's launches
+            # are individually recorded, which the native step could not
+            # provide.
+            names = {r.kernel_name for r in _launch_records(engine)}
+            assert "evaluation_kernel" in names, name
+            assert "swarm_velocity_update" in names, name
 
     def test_fault_injector_forces_eager(self, problem):
         from repro.reliability.faults import FaultInjector, FaultSpec
 
-        engine = make_engine("fastpso")
-        engine.attach_fault_injector(
-            FaultInjector([FaultSpec("stall", after=3, stall_seconds=1e-4)])
-        )
-        engine.optimize(
-            problem, n_particles=32, max_iter=10, params=PSOParams(seed=7)
-        )
-        assert engine.graph_info["eager_reason"] == "fault-injector"
+        for name in FALLBACK_ENGINES:
+            engine = make_engine(name)
+            engine.attach_fault_injector(
+                FaultInjector([FaultSpec("stall", after=3, stall_seconds=1e-4)])
+            )
+            engine.optimize(
+                problem, n_particles=32, max_iter=10, params=PSOParams(seed=7)
+            )
+            assert engine.graph_info["eager_reason"] == "fault-injector", name
 
     def test_graph_false_respected_via_batch_default(self, problem):
         # The scheduler-style injection path: an explicit option wins.
-        engine, _ = run("fastpso", problem, graph=False)
-        assert engine.graph_enabled is False
-        assert engine.graph_info["mode"] == "eager"
+        for name in FALLBACK_ENGINES:
+            engine, _ = run(name, problem, graph=False)
+            assert engine.graph_enabled is False, name
+            assert engine.graph_info["mode"] == "eager", name
+            assert engine.graph_info["eager_reason"] == "graph=False", name
 
     def test_unsupported_engine_reports_reason(self, problem):
         engine = make_engine("pyswarms")

@@ -20,6 +20,7 @@ from repro.core.problem import Problem
 from repro.core.stopping import StallStop
 from repro.engines import make_engine
 from repro.errors import CheckpointError, InvalidParameterError
+from repro.gpusim import fastpath
 from repro.reliability import CheckpointManager, read_snapshot, resume
 
 ENGINES = ["fastpso", "fastpso-seq"]
@@ -163,7 +164,7 @@ class TestGraphRecaptureOnRestore:
     def test_restored_run_recaptures_graph(
         self, tmp_path, run_clean, assert_bit_identical
     ):
-        """A mid-run restore must re-capture the launch graph, not replay
+        """A mid-run restore must re-capture the launch graph, not reuse
         bindings from the pre-interruption run."""
         params = replace(PAPER_DEFAULTS, seed=42)
         problem = Problem.from_benchmark("sphere", 6)
@@ -185,11 +186,16 @@ class TestGraphRecaptureOnRestore:
             restore=snap,
         )
         info = engine.graph_info
-        assert info["mode"] == "graph"
         # Warm-up at the restored iteration, capture on the next one: the
         # graph is built from post-restore state, never carried over.
         assert info["captured_at"] == snap.iteration + 1
-        assert info["replays"] == 16 - snap.iteration - 3
+        if fastpath.available():
+            assert info["mode"] == "graph"
+            assert info["replays"] == 16 - snap.iteration - 3
+        else:
+            # Demoted to eager on the validate iteration.
+            assert info["mode"] == "eager"
+            assert info["replays"] == 0
         assert_bit_identical(result, golden)
 
 
