@@ -80,7 +80,10 @@ The scheduler composes with :mod:`repro.reliability`: pass ``retry`` (a
 run every job under :func:`~repro.reliability.retry.run_with_recovery` —
 per-job checkpoints, deterministic fault injection, retry with simulated
 backoff, failover onto a fresh simulated device, and a last-resort CPU
-fallback.  Failed jobs become ``status="failed"`` outcomes instead of
+fallback.  Its attempt decisions come from
+:class:`~repro.reliability.retry.Attempts`, the object the serving layer
+drives too, so a job retries and fails over the same way in a batch as
+when served.  Failed jobs become ``status="failed"`` outcomes instead of
 aborting the batch; recovery overhead occupies the job's lane (stretching
 the makespan honestly) and is merged into the fleet profile under the
 ``lost_work``/``retry_backoff`` sections.  With none of the three options

@@ -122,6 +122,12 @@ class MultiGpuFastPSOEngine(Engine):
 
     _evaluate = _update_pbest = _update_gbest = _update_swarm = _initialize
 
+    def start_run(self, *args, **kwargs):
+        # Front-ends that step runs (serving) record this as a failure.
+        raise InvalidParameterError(
+            f"engine {self.name!r} cannot be stepped; run it with optimize()"
+        )
+
     def optimize(
         self,
         problem: Problem,

@@ -37,8 +37,7 @@ tiers::
     Every further iteration is one C call plus one pass over the captured
     charges (see :func:`repro.gpusim.fastpath.build_native`).
     ``info["native"]`` records ``"active"`` or the demotion reason;
-    ``info["native_replays"]`` counts these iterations (also included in
-    ``info["replays"]``, so profiler reconciliation is tier-agnostic).
+    ``info["replays"]`` counts these iterations.
 ``eager``
     Every demotion lands here: a run the native tier refuses (an
     unsupported shape, no compiler, ``REPRO_NO_NATIVE_FASTPATH=1``, a
@@ -233,7 +232,6 @@ class IterationRunner:
             # demotion reason up front so fault drills and health guards
             # leave an auditable trail instead of a silent ``None``.
             "native": eager_reason,
-            "native_replays": 0,
         }
         engine.graph_info = self.info
 
@@ -255,7 +253,6 @@ class IterationRunner:
         if phase == "native":
             self._native()
             self.info["replays"] += 1
-            self.info["native_replays"] += 1
             return
         if phase in ("eager", "warmup"):
             self._run_eager()

@@ -7,7 +7,10 @@ device-lost fault clears when the injector is re-attached to the new
 context, an OOM'd allocator is gone with its device, and a corrupted buffer
 never existed on the replacement.  Attempts resume from the newest readable
 checkpoint, so completed work is kept; a run with no checkpoints restarts
-from scratch (correct, just slower).
+from scratch (correct, just slower).  The decisions inside that loop —
+which engine an attempt runs on, how it starts, what a failure costs —
+live in :class:`Attempts`, which the serving layer drives too, so solo,
+batch and served runs retry and fail over identically.
 
 On the final attempt the policy can *degrade to a CPU engine*
 (``cpu_fallback``, default ``fastpso-seq``): the CPU substrate is immune to
@@ -40,6 +43,7 @@ from repro.errors import (
     GpuSimError,
     InvalidParameterError,
     ReproError,
+    StalledRunError,
 )
 from repro.gpusim.clock import SimClock
 from repro.reliability.checkpoint import CheckpointManager
@@ -140,6 +144,89 @@ class RecoveryReport:
         return self.recovery_clock.now
 
 
+class Attempts:
+    """One run's attempts under a :class:`RetryPolicy`, step by step.
+
+    Both front-ends — :func:`run_with_recovery` and the serving layer's
+    dispatch loop — make the retry decisions here: which engine an
+    attempt runs on (:meth:`falls_back`), how it starts (:meth:`start`)
+    and what a failure costs (:meth:`fail`).  Placement, breakers, clocks,
+    event logs and the stepping of an attempt stay with the callers.
+    *number* lets a recovered service resume its journaled attempt count.
+    """
+
+    def __init__(
+        self,
+        policy: RetryPolicy,
+        engine_name: str,
+        checkpoint: CheckpointManager | None = None,
+        *,
+        number: int = 1,
+    ) -> None:
+        self.policy = policy
+        self.checkpoint = checkpoint
+        self.number = number
+        #: The distinct CPU engine failed-over attempts run on, if any.
+        self.fallback = policy.fallback_engine(engine_name)
+        #: Exception types retried: the policy's, plus watchdog stalls.
+        self.retry_on = (StalledRunError, *policy.retry_on)
+
+    def _latest(self):
+        if self.checkpoint is None:
+            return None
+        return self.checkpoint.load_latest()
+
+    def falls_back(self, healthy=None) -> bool:
+        """Whether this attempt degrades to :attr:`fallback`: on the final
+        attempt (unless it is also the first), or when the zero-argument
+        callable *healthy* says there is no healthy placement.  *healthy*
+        is asked only when its answer decides (breaker checks change
+        breaker state)."""
+        if not self.fallback:
+            return False
+        if self.number == self.policy.max_attempts and self.number > 1:
+            return True
+        return healthy is not None and not healthy()
+
+    def start(self, launch, restore=None):
+        """Begin the attempt with ``launch(snapshot)`` on a fresh engine.
+
+        *snapshot* is the newest checkpoint, else *restore* (the snapshot
+        or path a run was resubmitted from).  A checkpoint that does not
+        fit this attempt's engine (a CPU fallback reading an fp16-storage
+        snapshot) reruns from scratch, ``launch(None)``, instead of
+        failing the recovery path itself.
+        """
+        banked = self._latest()
+        try:
+            return launch(banked if banked is not None else restore)
+        except CheckpointError:
+            if banked is None:
+                raise
+            return launch(None)
+
+    def fail(
+        self, exc: BaseException, spent: float
+    ) -> tuple[float, float | None] | None:
+        """What the failed attempt costs: ``(lost, backoff)``, or ``None``
+        when *exc* is not retryable (the caller lets it end the run).
+
+        *lost* is the simulated work since the newest checkpoint out of
+        *spent* seconds on the attempt's clock.  *backoff* is ``None``
+        once the attempts are used up; otherwise :attr:`number` moves on.
+        """
+        if not isinstance(exc, self.retry_on):
+            return None
+        latest = self._latest()
+        banked = 0.0 if latest is None else float(latest.clock_state["now"])
+        lost = max(0.0, spent - banked)
+        if self.number >= self.policy.max_attempts:
+            return lost, None
+        backoff = self.policy.backoff_for(self.number - 1)
+        self.number += 1
+        return lost, backoff
+
+
 def run_with_recovery(
     *,
     engine_name: str,
@@ -191,6 +278,7 @@ def run_with_recovery(
 
     policy = policy or RetryPolicy()
     options = dict(engine_options or {})
+    attempts = Attempts(policy, engine_name, checkpoint)
     recovery_clock = SimClock()
     engines: list = []
     errors: list[str] = []
@@ -203,119 +291,83 @@ def run_with_recovery(
             exc.with_context(job=job_label, device=device, attempt=attempt)
             error_rows.append(exc.to_row())
 
-    for attempt in range(1, policy.max_attempts + 1):
-        name, opts = engine_name, options
-        on_cpu = False
-        fallback = policy.fallback_engine(engine_name)
-        if attempt == policy.max_attempts and attempt > 1 and fallback:
-            # Last chance: degrade to the CPU substrate, which the injected
-            # GPU faults cannot touch.  Bit-identical numerics by contract.
-            name, opts, fell_back, on_cpu = fallback, {}, True, True
+    result = None
+    while True:
+        attempt = attempts.number
+        now = base_now + recovery_clock.now
 
+        def pick():
+            return health.pick_device(now=now, preferred=preferred_device)
+
+        on_cpu = attempts.falls_back(
+            None if health is None else lambda: pick() is not None
+        )
+        fell_back = fell_back or on_cpu
+        name, opts = (
+            (attempts.fallback, {}) if on_cpu else (engine_name, options)
+        )
         device = None
         if health is not None and not on_cpu:
-            device = health.pick_device(
-                now=base_now + recovery_clock.now, preferred=preferred_device
-            )
+            device = pick()  # same ``now``: the device the check above saw
             if device is None:
-                # Every breaker is open: no healthy device to place this
-                # attempt on.  Degrade to the CPU substrate if the policy
-                # allows it, otherwise record the refusal and give up.
-                if fallback:
-                    name, opts, fell_back, on_cpu = fallback, {}, True, True
-                else:
-                    exc = CircuitOpenError(
-                        f"all {health.n_devices} device breaker(s) open; "
-                        "no CPU fallback configured"
-                    )
-                    _annotate(exc, attempt)
-                    errors.append(f"attempt {attempt}: {exc}")
-                    break
+                # Every breaker is open and there is no CPU fallback.
+                exc = CircuitOpenError(
+                    f"all {health.n_devices} device breaker(s) open; "
+                    "no CPU fallback configured"
+                )
+                _annotate(exc, attempt)
+                errors.append(f"attempt {attempt}: {exc}")
+                break
 
-        engine = make_engine(name, **opts)
-        engines.append(engine)
-        if injector is not None:
-            engine.attach_fault_injector(injector)
-        restore = checkpoint.load_latest() if checkpoint is not None else None
+        def launch(restore):
+            engine = make_engine(name, **opts)
+            engines.append(engine)
+            if injector is not None:
+                engine.attach_fault_injector(injector)
+            return engine.optimize(
+                problem,
+                n_particles=n_particles,
+                max_iter=max_iter,
+                params=params,
+                stop=stop,
+                record_history=record_history,
+                checkpoint=checkpoint,
+                restore=restore,
+                budget=budget,
+                guard=guard,
+            )
 
         try:
-            try:
-                result = engine.optimize(
-                    problem,
-                    n_particles=n_particles,
-                    max_iter=max_iter,
-                    params=params,
-                    stop=stop,
-                    record_history=record_history,
-                    checkpoint=checkpoint,
-                    restore=restore,
-                    budget=budget,
-                    guard=guard,
-                )
-            except CheckpointError:
-                if restore is None:
-                    raise
-                # Snapshot incompatible with this attempt's engine (e.g. a
-                # CPU fallback reading an fp16-storage checkpoint): rerun
-                # from scratch on yet another fresh engine instead of dying
-                # on the recovery path itself.
-                engine = make_engine(name, **opts)
-                engines.append(engine)
-                if injector is not None:
-                    engine.attach_fault_injector(injector)
-                result = engine.optimize(
-                    problem,
-                    n_particles=n_particles,
-                    max_iter=max_iter,
-                    params=params,
-                    stop=stop,
-                    record_history=record_history,
-                    checkpoint=checkpoint,
-                    budget=budget,
-                    guard=guard,
-                )
-            if health is not None and device is not None:
-                health.record_success(
-                    device,
-                    now=base_now + recovery_clock.now + engine.clock.now,
-                )
-            return RecoveryReport(
-                result=result,
-                attempts=attempt,
-                engines=tuple(engines),
-                errors=tuple(errors),
-                fell_back_to_cpu=fell_back,
-                recovery_clock=recovery_clock,
-                error_rows=tuple(error_rows),
-                device_index=None if on_cpu else device,
-            )
-        except policy.retry_on as exc:
+            result = attempts.start(launch)
+        except attempts.retry_on as exc:
+            lost, backoff = attempts.fail(exc, engines[-1].clock.now)
             _annotate(exc, attempt)
-            errors.append(f"attempt {attempt} [{engine.name}]: {exc}")
-            # Work since the newest checkpoint dies with this device.
-            latest = (
-                checkpoint.load_latest() if checkpoint is not None else None
-            )
-            banked = (
-                float(latest.clock_state["now"]) if latest is not None else 0.0
-            )
+            errors.append(f"attempt {attempt} [{engines[-1].name}]: {exc}")
             with recovery_clock.section("lost_work"):
-                recovery_clock.advance(max(0.0, engine.clock.now - banked))
-            if health is not None and device is not None:
+                recovery_clock.advance(lost)
+            if device is not None:
                 health.record_failure(
                     device, now=base_now + recovery_clock.now
                 )
-            if attempt < policy.max_attempts:
-                with recovery_clock.section("retry_backoff"):
-                    recovery_clock.advance(policy.backoff_for(attempt - 1))
+            if backoff is None:
+                break
+            with recovery_clock.section("retry_backoff"):
+                recovery_clock.advance(backoff)
+            continue
+        if device is not None:
+            health.record_success(
+                device,
+                now=base_now + recovery_clock.now + engines[-1].clock.now,
+            )
+        break
 
     return RecoveryReport(
-        result=None,
+        result=result,
         attempts=attempt,
         engines=tuple(engines),
         errors=tuple(errors),
         fell_back_to_cpu=fell_back,
         recovery_clock=recovery_clock,
         error_rows=tuple(error_rows),
-        device_index=None,
+        device_index=None if result is None else device,
     )

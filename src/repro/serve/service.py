@@ -51,13 +51,15 @@ simulated work plus exponential backoff to the job's overhead, and goes
 around on a fresh engine (a fresh simulated device).  On the final
 attempt — or when the lane's circuit breaker trips open mid-job — the
 run degrades to the policy's CPU fallback, whose bit-identical numerics
-keep the trajectory unchanged.  ``watchdog_seconds`` adds a progress
-lease on the same loop: an attempt that advances simulated time past the
-lease without a progress mark is declared stalled
-(:class:`~repro.errors.StalledRunError`) and retried like any transient
-fault.  ``faults`` attaches a :class:`~repro.reliability.faults
-.FaultPlan`'s injectors to dispatched jobs, the serve-level version of
-the batch fault drills.
+keep the trajectory unchanged.  Those decisions are made by
+:class:`~repro.reliability.retry.Attempts`, the same object
+:func:`~repro.reliability.retry.run_with_recovery` drives.
+``watchdog_seconds`` adds a progress lease on the same loop: an attempt
+that advances simulated time past the lease without a progress mark is
+declared stalled (:class:`~repro.errors.StalledRunError`) and retried
+like any transient fault.  ``faults`` attaches a
+:class:`~repro.reliability.faults.FaultPlan`'s injectors to dispatched
+jobs, the serve-level version of the batch fault drills.
 
 Who drives execution
 --------------------
@@ -95,9 +97,9 @@ from repro.errors import (
     StalledRunError,
 )
 from repro.io import result_from_dict, result_to_dict
-from repro.reliability.checkpoint import CheckpointManager, read_snapshot
+from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.faults import FaultPlan
-from repro.reliability.retry import RetryPolicy
+from repro.reliability.retry import Attempts, RetryPolicy
 from repro.reliability.snapshot import ensure_capturable, params_to_spec
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.events import ServiceEvent, events_to_json
@@ -111,6 +113,10 @@ __all__ = [
     "ProgressUpdate",
     "ServiceReport",
 ]
+
+#: The attempt policy of a service without ``retry``: one attempt.
+_NO_RETRY = RetryPolicy(max_attempts=1)
+
 
 @dataclass(frozen=True)
 class ProgressUpdate:
@@ -1040,57 +1046,6 @@ class OptimizationService:
         except CheckpointError:
             return None
 
-    def _start_attempt(
-        self,
-        ticket: JobTicket,
-        run_job: Job,
-        budget,
-        device: int,
-        manager: CheckpointManager | None,
-        injector,
-        *,
-        on_cpu: bool,
-    ) -> RunningJob:
-        """Build one attempt's engine/run, restored from the newest state."""
-        restore = None
-        from_manager = False
-        if manager is not None:
-            restore = manager.load_latest()
-            from_manager = restore is not None
-        if restore is None and ticket._restore_path is not None:
-            restore = read_snapshot(ticket._restore_path)
-        options = effective_engine_options(run_job, self.graph)
-        spec = self._spec_for_device(device)
-        if spec is not None and not on_cpu:
-            from repro.engines import engine_accepts_device
-
-            if engine_accepts_device(run_job.engine):
-                options.setdefault("device", spec)
-        try:
-            return RunningJob(
-                run_job,
-                engine_options=options,
-                budget=budget,
-                guard=self.guard,
-                checkpoint=manager,
-                restore=restore,
-                injector=injector,
-            )
-        except CheckpointError:
-            if not from_manager:
-                raise
-            # The banked checkpoint is incompatible with this attempt's
-            # engine: rerun from scratch rather than dying on the
-            # recovery path itself (mirrors run_with_recovery).
-            return RunningJob(
-                run_job,
-                engine_options=options,
-                budget=budget,
-                guard=self.guard,
-                checkpoint=manager,
-                injector=injector,
-            )
-
     def _journal_checkpoint(
         self, ticket: JobTicket, run: RunningJob, manager, injector
     ) -> None:
@@ -1151,48 +1106,56 @@ class OptimizationService:
             state = resume.get("injector")
             if state is not None:
                 injector.load_state(state)
-        policy = self.retry
-        attempt = resume["attempt"] if resume is not None else 1
+        manager = self._checkpoint_manager_for(ticket, job)
+        attempts = Attempts(
+            self.retry or _NO_RETRY,
+            job.engine,
+            manager,
+            number=resume["attempt"] if resume is not None else 1,
+        )
         overhead = resume["overhead"] if resume is not None else 0.0
         skip_stalled = bool(resume and resume.get("skip_stalled"))
-        manager = self._checkpoint_manager_for(ticket, job)
         lease = self.watchdog_seconds
 
         while True:
-            fallback = (
-                policy.fallback_engine(job.engine)
-                if policy is not None
-                else None
+            attempt = attempts.number
+            # Dispatch placed attempt 1; a retry degrades when the lane's
+            # own breaker tripped open on this job's failures.
+            on_cpu = attempts.falls_back(
+                None
+                if self._health is None or attempt == 1
+                else lambda: self._health.breakers[device].allows(
+                    start + overhead
+                )
             )
-            on_cpu = bool(
-                fallback
-                and policy is not None
-                and attempt == policy.max_attempts
-                and attempt > 1
-            )
-            if (
-                not on_cpu
-                and fallback
-                and attempt > 1
-                and self._health is not None
-                and not self._health.breakers[device].allows(start + overhead)
-            ):
-                # The lane's own breaker tripped open on this job's
-                # failures: degrade straight to the CPU substrate.
-                on_cpu = True
             run_job = (
-                job
-                if not on_cpu
-                else job.with_overrides(engine=fallback, engine_options={})
+                job.with_overrides(engine=attempts.fallback, engine_options={})
+                if on_cpu
+                else job
             )
+            options = effective_engine_options(run_job, self.graph)
+            spec = self._spec_for_device(device)
+            if spec is not None and not on_cpu:
+                from repro.engines import engine_accepts_device
+
+                if engine_accepts_device(run_job.engine):
+                    options.setdefault("device", spec)
 
             run = None
             failure: ReproError | None = None
             cancelled = stalled = False
             try:
-                run = self._start_attempt(
-                    ticket, run_job, budget, device, manager, injector,
-                    on_cpu=on_cpu,
+                run = attempts.start(
+                    lambda restore: RunningJob(
+                        run_job,
+                        engine_options=options,
+                        budget=budget,
+                        guard=self.guard,
+                        checkpoint=manager,
+                        restore=restore,
+                        injector=injector,
+                    ),
+                    restore=ticket._restore_path,
                 )
             except ReproError as exc:
                 failure = exc
@@ -1252,19 +1215,13 @@ class OptimizationService:
                 except ReproError as exc:
                     failure = exc
 
-            if cancelled:
-                self._checkpoint_cancelled(ticket, run)
-                result = run.finish(status="cancelled")
+            if cancelled or (failure is None and not stalled):
+                if cancelled:
+                    self._checkpoint_cancelled(ticket, run)
+                result = run.finish(status="cancelled" if cancelled else None)
                 self._complete(
                     ticket, device, stream, start, overhead, result,
-                    cancelled=True, attempt=attempt, on_cpu=on_cpu,
-                )
-                return
-            if failure is None and not stalled:
-                result = run.finish()
-                self._complete(
-                    ticket, device, stream, start, overhead, result,
-                    cancelled=False, attempt=attempt, on_cpu=on_cpu,
+                    cancelled=cancelled, attempt=attempt, on_cpu=on_cpu,
                 )
                 return
 
@@ -1280,39 +1237,7 @@ class OptimizationService:
                 failure.with_context(
                     job=job.label, device=device, attempt=attempt
                 )
-            retryable = policy is not None and (
-                stalled or isinstance(failure, policy.retry_on)
-            )
             error_text = f"{type(failure).__name__}: {failure}"
-            if not retryable or attempt >= policy.max_attempts:
-                if stalled and not skip_stalled:
-                    self._emit(
-                        "stalled",
-                        time=fail_time,
-                        ticket=ticket,
-                        attempt=attempt,
-                        lease=lease,
-                        error=error_text,
-                    )
-                skip_stalled = False
-                self._fail(
-                    ticket, device, stream, start, overhead + fail_sim,
-                    failure, attempt=attempt,
-                )
-                return
-
-            # Bank what the newest checkpoint holds; the rest died with
-            # the attempt.  Lost work plus exponential backoff become
-            # overhead on this job's lane — run_with_recovery's
-            # arithmetic, serve-side.
-            snap = manager.load_latest() if manager is not None else None
-            banked = (
-                float(snap.clock_state["now"]) if snap is not None else 0.0
-            )
-            lost = max(0.0, fail_sim - banked)
-            backoff = policy.backoff_for(attempt - 1)
-            if self._health is not None:
-                self._health.record_failure(device, now=fail_time)
             if stalled and not skip_stalled:
                 self._emit(
                     "stalled",
@@ -1323,6 +1248,16 @@ class OptimizationService:
                     error=error_text,
                 )
             skip_stalled = False
+            cost = attempts.fail(failure, fail_sim)
+            if cost is None or cost[1] is None:
+                self._fail(
+                    ticket, device, stream, start, overhead + fail_sim,
+                    failure, attempt=attempt,
+                )
+                return
+            lost, backoff = cost
+            if self._health is not None:
+                self._health.record_failure(device, now=fail_time)
             overhead += lost + backoff
             retry_extra = None
             if self._journal is not None:
@@ -1342,7 +1277,6 @@ class OptimizationService:
                 lost_seconds=lost,
                 backoff_seconds=backoff,
             )
-            attempt += 1
 
     def _checkpoint_cancelled(self, ticket: JobTicket, run: RunningJob) -> None:
         """Snapshot a mid-run cancel so :meth:`resubmit` can resume it."""

@@ -143,7 +143,7 @@ def assert_native_matches_eager(name, problem, monkeypatch, **kwargs):
     native_run = run(name, problem, **kwargs)
     assert native_run[0].graph_info["mode"] == "graph"
     assert native_run[0].graph_info["native"] == "active"
-    assert native_run[0].graph_info["native_replays"] > 0
+    assert native_run[0].graph_info["replays"] > 0
     monkeypatch.setenv(ENV_GATE, "1")
     gated_run = run(name, problem, **kwargs)
     assert gated_run[0].graph_info["mode"] == "eager"
@@ -171,7 +171,6 @@ class TestNativeTierParity:
         assert info["captured_at"] == 1
         assert info["replays"] == 17
         assert info["native"] == "active"
-        assert info["native_replays"] == 17
         assert info["eager_reason"] is None
 
     def test_odd_tail_shapes(self, monkeypatch):
@@ -205,7 +204,7 @@ class TestNativeTierParity:
         pool-hit alloc/free calls land in their captured slots."""
         monkeypatch.setattr(CachingAllocator, "fold_hits", lambda *args: False)
         native_run = assert_native_matches_eager("fastpso", problem, monkeypatch)
-        assert native_run[0].graph_info["native_replays"] == 17
+        assert native_run[0].graph_info["replays"] == 17
 
     def test_direct_allocator_charges_every_iteration(self, problem, monkeypatch):
         """Table 4's "w/ reallocation" engine: no pool to fold, so the native
@@ -215,7 +214,7 @@ class TestNativeTierParity:
         )
         stats = engine.ctx.allocator.stats
         assert isinstance(engine.ctx.allocator, DirectAllocator)
-        assert engine.graph_info["native_replays"] == 17
+        assert engine.graph_info["replays"] == 17
         # 5 persistent swarm buffers plus 2 weight buffers per iteration.
         assert stats.allocs == stats.frees == 5 + 2 * 20
         assert stats.pool_hits == 0
@@ -235,7 +234,7 @@ def assert_demoted(engine, reason):
     assert info["mode"] == "eager"
     assert info["eager_reason"] == reason
     assert info["native"] == reason
-    assert info["replays"] == info["native_replays"] == 0
+    assert info["replays"] == 0
 
 
 class TestIneligibleConfigurations:
@@ -277,7 +276,7 @@ class TestIneligibleConfigurations:
         # eager run can never reach the native tier, and the drill audit
         # trail should say why rather than show a silent None.
         assert engine.graph_info["native"] == "fault-injector"
-        assert engine.graph_info["native_replays"] == 0
+        assert engine.graph_info["replays"] == 0
 
 
 class TestFallbacks:
@@ -398,5 +397,5 @@ class TestCheckpointResume:
         assert info["mode"] == "graph"
         assert info["captured_at"] == snap.iteration + 1
         assert info["native"] == "active"
-        assert info["native_replays"] > 0
+        assert info["replays"] > 0
         assert_same_result(resumed, golden)

@@ -66,7 +66,7 @@ class TestNativeDemotion:
             # The native slot carries the demotion reason too — never a
             # silent None when the fastpath was ruled out.
             assert info["native"] == "fault-injector"
-            assert info["native_replays"] == 0
+            assert info["replays"] == 0
 
     def test_drill_trajectories_match_eager_tier(
         self, run_kwargs, tmp_path, assert_bit_identical

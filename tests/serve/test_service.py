@@ -364,3 +364,27 @@ class TestStatusAndReport:
         assert report.mean_latency_seconds == 0.0
         assert report.throughput_per_second == 0.0
         assert "shed=100.00%" in report.summary()
+
+    def test_unsteppable_engine_fails_its_ticket_not_the_service(self):
+        # The multi-GPU engine only runs through optimize(); serving steps
+        # runs, so the job must end as a recorded failure naming the
+        # engine, and the service must keep serving the next job.
+        async def main():
+            service = OptimizationService()
+            mgpu = await service.submit(
+                Job("sphere", dim=4, n_particles=16, max_iter=30,
+                    engine="fastpso-mgpu")
+            )
+            await service.drain()
+            after = await service.submit(JOB)
+            await service.drain()
+            return service, mgpu, after
+
+        service, mgpu, after = asyncio.run(main())
+        assert mgpu.status == "failed"
+        failed = [e for e in service.events if e.kind == "failed"]
+        assert [e.job_id for e in failed] == [mgpu.job_id]
+        assert failed[0].detail["error"].startswith("InvalidParameterError")
+        assert "fastpso-mgpu" in failed[0].detail["error"]
+        assert after.status == "completed"
+        assert after.result.best_value == solo(JOB).best_value

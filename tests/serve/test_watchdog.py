@@ -3,8 +3,9 @@
 The lease is simulated seconds between progress marks: a run that stops
 advancing (injected ``stall`` fault) trips the watchdog, is journaled as
 ``stalled``, and retries under the service's :class:`RetryPolicy` — with
-CPU failover through the breaker path on the final attempt, exactly like
-``run_with_recovery``.  The drill must end with no hung lanes and, thanks
+CPU failover on the final attempt decided by the same
+:class:`~repro.reliability.retry.Attempts` object ``run_with_recovery``
+drives.  The drill must end with no hung lanes and, thanks
 to the fastpso family's bit-identical numerics, the retried job's answer
 equal to its un-faulted run.
 """
