@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.batch.job import Job
 from repro.core.results import OptimizeResult
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, ReproError
 
 __all__ = ["FleetTimeline", "LanePlacement", "RunningJob", "start_job"]
 
@@ -222,12 +222,18 @@ class FleetTimeline:
         return max(self.device_makespans(), default=0.0)
 
 
-def effective_engine_options(job: Job, graph: bool | None) -> dict:
-    """The job's engine options with a fleet-wide graph default mixed in.
+def effective_engine_options(
+    job: Job, graph: bool | None, spec=None
+) -> dict:
+    """The job's engine options with the fleet's defaults mixed in.
 
-    The job's own setting always wins; engines without the ``graph=`` knob
-    are left alone.  Shared by :class:`~repro.batch.scheduler.BatchScheduler`
-    and the serving layer so both dispatch paths build identical engines.
+    *graph* is a fleet-wide launch-graph default for engines with the
+    ``graph=`` knob; *spec* is the :class:`~repro.gpusim.device.DeviceSpec`
+    of the device the job was placed on, threaded in as ``device=`` for
+    engines that simulate on one (CPU/library engines have no device to
+    retarget and never receive it).  The job's own settings always win.
+    Shared by :class:`~repro.batch.scheduler.BatchScheduler` and the
+    serving layer so both dispatch paths build identical engines.
     """
     opts = dict(job.engine_options)
     if graph is not None:
@@ -235,6 +241,11 @@ def effective_engine_options(job: Job, graph: bool | None) -> dict:
 
         if engine_supports_graph(job.engine):
             opts.setdefault("graph", graph)
+    if spec is not None:
+        from repro.engines import engine_accepts_device
+
+        if engine_accepts_device(job.engine):
+            opts.setdefault("device", spec)
     return opts
 
 
@@ -281,17 +292,24 @@ class RunningJob:
             # Wired before start_run so initialization launches/allocs are
             # counted — the same ordinals a solo faulted run would see.
             self.engine.attach_fault_injector(injector)
-        self.run = self.engine.start_run(
-            job.resolved_problem(),
-            n_particles=job.n_particles,
-            max_iter=job.max_iter,
-            params=job.resolved_params,
-            record_history=job.record_history,
-            budget=budget,
-            guard=guard,
-            checkpoint=checkpoint,
-            restore=restore,
-        )
+        try:
+            self.run = self.engine.start_run(
+                job.resolved_problem(),
+                n_particles=job.n_particles,
+                max_iter=job.max_iter,
+                params=job.resolved_params,
+                record_history=job.record_history,
+                budget=budget,
+                guard=guard,
+                checkpoint=checkpoint,
+                restore=restore,
+            )
+        except ReproError as exc:
+            # No RunningJob comes back from a failed start, so the error
+            # carries the simulated seconds its engine had spent: recovery
+            # charges them as lost work, like any failed attempt.
+            exc.sim_seconds = float(self.engine.clock.now)
+            raise
         self._finished = False
 
     # -- live views ----------------------------------------------------------

@@ -42,10 +42,11 @@ assigned earliest-finish-time-first (deterministic, ties to the lowest
 device index), GPU jobs run on their assigned device's spec (so an A100
 job genuinely finishes sooner than a V100 one — trajectories stay
 bit-identical, only simulated seconds move), and admission prices memory
-against the *smallest* device in the fleet.  ``devices=`` refuses to
-compose with ``retry``/``faults``/``breaker`` and with
-``policy="fused"``: failover and fused stacking assume interchangeable
-devices.
+against the *smallest* device in the fleet.  ``devices=`` composes with
+``retry``/``faults``: a failover attempt rebuilds the job's engine on the
+same device's spec, and the CPU fallback runs on no spec.  It refuses
+``breaker`` (breakers move attempts across devices with different specs)
+and ``policy="fused"`` (stacking assumes interchangeable devices).
 
 ``"fused"`` goes further: a grouping pass
 (:func:`repro.batch.fused.plan_fused_groups`) stacks *compatible* jobs —
@@ -86,8 +87,11 @@ drives too, so a job retries and fails over the same way in a batch as
 when served.  Failed jobs become ``status="failed"`` outcomes instead of
 aborting the batch; recovery overhead occupies the job's lane (stretching
 the makespan honestly) and is merged into the fleet profile under the
-``lost_work``/``retry_backoff`` sections.  With none of the three options
-set, execution takes the historical fast path and engine errors propagate.
+``lost_work``/``retry_backoff`` sections.  Every solo job runs through
+``run_with_recovery``: with none of ``retry``/``faults``/``checkpoint_dir``/
+``breaker`` set it gets a single attempt, so a retryable device error
+(an out-of-memory, say) fails that job alone while the rest of the batch
+completes; any other error propagates unless an overload knob contains it.
 
 Overload control
 ----------------
@@ -112,8 +116,9 @@ deterministic in simulated time (see ``docs/architecture.md``):
   devices, and the CPU fallback is the last resort.  Trip/close events
   land in :attr:`BatchResult.breaker_rows`.
 * **Containment** — with any overload option set, ``run()`` never lets a
-  :class:`~repro.errors.ReproError` escape: the job becomes a
-  ``"failed"`` outcome with its structured error row instead.
+  :class:`~repro.errors.ReproError` escape: the job (or the whole fused
+  group) becomes a ``"failed"`` outcome with its structured error row
+  instead.
 """
 
 from __future__ import annotations
@@ -124,6 +129,7 @@ from repro.batch.admission import ADMISSION_MODES, AdmissionPolicy
 from repro.batch.dispatch import (
     FleetTimeline,
     LanePlacement,
+    RunningJob,
     effective_engine_options,
 )
 from repro.batch.job import Job, JobOutcome
@@ -454,8 +460,9 @@ class BatchScheduler:
         :class:`~repro.gpusim.device.DeviceSpec` objects, one per device.
         Implies ``n_devices=len(devices)`` and switches placement from
         round-robin to cost-aware earliest-finish-time (see module
-        docstring).  Mutually exclusive with ``retry``/``faults``/
-        ``breaker`` and ``policy="fused"``.
+        docstring).  Composes with ``retry``/``faults`` (a job retries on
+        its placed device's spec); mutually exclusive with ``breaker`` and
+        ``policy="fused"``.
     streams_per_device:
         Concurrent streams per device — the lane count that bounds how many
         jobs a device overlaps.
@@ -474,8 +481,9 @@ class BatchScheduler:
     checkpoint_dir:
         Directory for per-job checkpoints (one subdirectory per job); with
         it, retried jobs resume from their last checkpoint instead of
-        restarting.  ``checkpoint_every``/``checkpoint_keep`` set the
-        cadence and retention.
+        restarting (implies the default retry policy unless ``retry`` is
+        given).  ``checkpoint_every``/``checkpoint_keep`` set the cadence
+        and retention.
     graph:
         Default for the engines' launch-graph fast path
         (:mod:`repro.gpusim.graph`): ``True``/``False`` forces it on or off
@@ -504,7 +512,8 @@ class BatchScheduler:
     breaker:
         Per-device circuit breakers: a
         :class:`~repro.reliability.breaker.BreakerPolicy`, or ``True`` for
-        the default policy.  Implies the reliability execution path.
+        the default policy.  Implies the default retry policy unless
+        ``retry`` is given.
     guard:
         A :class:`~repro.reliability.guard.SwarmHealthGuard` applied to
         every job (swarm-health repairs inside the engine loop).  One
@@ -553,17 +562,13 @@ class BatchScheduler:
             )
         self.device_specs = None
         if devices is not None:
-            if (
-                retry is not None
-                or faults is not None
-                or breaker is not None
-                or policy == "fused"
-            ):
+            if breaker is not None or policy == "fused":
                 raise InvalidParameterError(
                     "devices= (a heterogeneous fleet) does not compose with "
-                    "retry/faults/breaker or policy='fused': failover and "
-                    "fused stacking assume interchangeable devices; use a "
-                    "homogeneous n_devices= fleet for those"
+                    "breaker or policy='fused': breakers move attempts "
+                    "across devices and fused stacking assumes "
+                    "interchangeable ones; use a homogeneous n_devices= "
+                    "fleet for those"
                 )
             from repro.devices import resolve_device
 
@@ -652,10 +657,10 @@ class BatchScheduler:
             )
         return breaker
 
-    def _job_engine_options(self, job: Job) -> dict:
-        """The job's engine options with the scheduler's graph default mixed
-        in (the job's own setting always wins)."""
-        return effective_engine_options(job, self.graph)
+    def _job_engine_options(self, job: Job, spec=None) -> dict:
+        """The job's engine options with the scheduler's graph default (and
+        its placed device's *spec*) mixed in; the job's own settings win."""
+        return effective_engine_options(job, self.graph, spec)
 
     def _estimate_job_seconds(self, job: Job, spec) -> float:
         """Predicted solo seconds of *job* on *spec*, for placement only.
@@ -768,104 +773,92 @@ class BatchScheduler:
         if self.priority:
             exec_order.sort(key=lambda i: (-batch[i].priority, i))
 
-        # The job actually run (the degraded variant under admission) and
-        # its report (None for shed jobs, which never execute).
+        # Resolve admission once: shed jobs never run, degraded ones run
+        # their reduced variant.  ``effective`` holds the job actually run
+        # and ``executed`` its report (None for shed jobs).
         effective: list[Job] = list(batch)
         executed = [None] * len(batch)
-
-        # Fused grouping happens *after* admission so groups are formed
-        # over the jobs that actually run (shed members drop out; coherent
-        # degradation keeps a squeezed group's fusion key shared).
-        group_of: dict[int, int] = {}
-        fused_groups: list[list[int]] = []
-        if self.policy == "fused":
-            admitted = []
-            for i in exec_order:
-                decision = decisions[i] if decisions is not None else None
-                if decision is not None and decision.action == "shed":
-                    continue
-                if decision is not None and decision.job is not None:
-                    effective[i] = decision.job
-                admitted.append(i)
-            local_groups = plan_fused_groups(
-                [effective[i] for i in admitted],
-                options_for=self._job_engine_options,
-            )
-            fused_groups = [[admitted[k] for k in g] for g in local_groups]
-            for gi, group in enumerate(fused_groups):
-                for i in group:
-                    group_of[i] = gi
-
-        group_units: list[tuple[tuple[int, ...], float]] = []
-        fused_rows: list[dict] = []
-        started_groups: set[int] = set()
-        base_now = 0.0
-        n_run = 0
-        # Estimated busy seconds per device, for heterogeneous placement.
-        est_busy = [0.0] * self.n_devices
+        admitted = []
         for i in exec_order:
             decision = decisions[i] if decisions is not None else None
             if decision is not None and decision.action == "shed":
                 continue
             if decision is not None and decision.job is not None:
                 effective[i] = decision.job
-            gi = group_of.get(i)
-            if gi is not None:
-                if gi not in started_groups:
-                    started_groups.add(gi)
-                    indices = tuple(fused_groups[gi])
+            admitted.append(i)
+
+        # Execution units, in execution order: a fused group runs as one
+        # when its first member comes up, every other job alone.  Grouping
+        # happens *after* admission so groups are formed over the jobs that
+        # actually run (shed members drop out; coherent degradation keeps a
+        # squeezed group's fusion key shared).
+        group_of: dict[int, tuple[int, ...]] = {}
+        if self.policy == "fused":
+            for local in plan_fused_groups(
+                [effective[i] for i in admitted],
+                options_for=self._job_engine_options,
+            ):
+                group = tuple(admitted[k] for k in local)
+                for i in group:
+                    group_of[i] = group
+        units: list[tuple[int, ...]] = []
+        seen: set[tuple[int, ...]] = set()
+        for i in admitted:
+            unit = group_of.get(i, (i,))
+            if unit not in seen:
+                seen.add(unit)
+                units.append(unit)
+
+        lanes: list[tuple[tuple[int, ...], float]] = []
+        fused_rows: list[dict] = []
+        base_now = 0.0
+        n_run = 0
+        # Estimated busy seconds per device, for heterogeneous placement.
+        est_busy = [0.0] * self.n_devices
+        for unit in units:
+            fused = unit[0] in group_of
+            try:
+                if fused:
                     reports, lane_seconds, row = self._execute_fused(
-                        indices, effective
+                        unit, effective
                     )
-                    for j in indices:
-                        executed[j] = reports[j]
-                    group_units.append((indices, lane_seconds))
-                    fused_rows.append(row)
-                    base_now += lane_seconds
-                    n_run += len(indices)
-                continue
-            if self.device_specs is not None:
-                # Earliest finish time over the catalog fleet: price the
-                # job on every device with the cost-model probe and place
-                # it where it would finish soonest (ties to the lowest
-                # device index, so schedules are fully deterministic).
-                estimates = [
-                    self._estimate_job_seconds(effective[i], spec)
-                    for spec in self.device_specs
-                ]
-                preferred = min(
-                    range(self.n_devices),
-                    key=lambda d: (est_busy[d] + estimates[d], d),
+                else:
+                    report = self._execute(
+                        unit[0],
+                        effective[unit[0]],
+                        health=health,
+                        base_now=base_now,
+                        preferred_device=self._preferred_device(
+                            effective[unit[0]], n_run, est_busy
+                        ),
+                    )
+                    reports = {unit[0]: report}
+                    lane_seconds = _lane_duration(report)
+            except ReproError as exc:
+                # Containment: with any overload knob set, an error that
+                # escapes the retry machinery (strict admission,
+                # configuration problems, non-retryable faults) fails the
+                # unit instead of aborting the batch.  A fused group fails
+                # whole: its members' states are interdependent mid-loop.
+                if not self._overload_enabled:
+                    raise
+                reports, lane_seconds, row = self._failed_unit(
+                    unit, effective, exc
                 )
-                est_busy[preferred] += estimates[preferred]
-            else:
-                # Round-robin preferred device so a healthy breaker fleet
-                # spreads jobs instead of collapsing onto device 0 (the
-                # breaker only overrides the preference when that device
-                # is open).
-                preferred = n_run % self.n_devices
-            if self._overload_enabled:
-                executed[i] = self._contained_execute(
-                    i,
-                    effective[i],
-                    health=health,
-                    base_now=base_now,
-                    preferred_device=preferred,
-                )
-            else:
-                executed[i] = self._execute(
-                    i, effective[i], preferred_device=preferred
-                )
-            base_now += _lane_duration(executed[i])
-            n_run += 1
+            if fused:
+                fused_rows.append(row)
+            lanes.append((unit, lane_seconds))
+            for i in unit:
+                executed[i] = reports[i]
+            base_now += lane_seconds
+            n_run += len(unit)
 
         outcomes, device_makespans = self._schedule(
             effective,
             executed,
+            units=lanes,
             decisions=decisions,
-            exec_order=exec_order,
             health=health,
-            group_units=group_units,
         )
         profile = self._fleet_profile([r for r in executed if r is not None])
         return BatchResult(
@@ -887,15 +880,6 @@ class BatchScheduler:
 
     # -- internals -----------------------------------------------------------
     @property
-    def _reliability_enabled(self) -> bool:
-        return (
-            self.retry is not None
-            or self.faults is not None
-            or self.checkpoint_dir is not None
-            or self.breaker is not None
-        )
-
-    @property
     def _overload_enabled(self) -> bool:
         """Any overload-control knob set: contain errors, never raise."""
         return (
@@ -914,221 +898,188 @@ class BatchScheduler:
         )
         return Budget.merge_all(job.budget, self.budget, deadline)
 
-    def _contained_execute(
-        self, index: int, job: Job, *, health, base_now, preferred_device=None
-    ):
-        """Execute with overload containment: a ReproError that escapes the
-        retry machinery (strict admission, configuration problems, exhausted
-        non-retryable faults) becomes a failed report, never an exception."""
-        from repro.reliability.retry import RecoveryReport
+    def _preferred_device(self, job: Job, n_run: int, est_busy) -> int:
+        """The device a solo job is placed on (*est_busy* is updated)."""
+        if self.device_specs is None:
+            # Round-robin so a healthy breaker fleet spreads jobs instead
+            # of collapsing onto device 0 (the breaker only overrides the
+            # preference when that device is open).
+            return n_run % self.n_devices
+        # Earliest finish time over the catalog fleet: price the job on
+        # every device with the cost-model probe and place it where it
+        # would finish soonest (ties to the lowest device index, so
+        # schedules are fully deterministic).
+        estimates = [
+            self._estimate_job_seconds(job, spec) for spec in self.device_specs
+        ]
+        preferred = min(
+            range(self.n_devices),
+            key=lambda d: (est_busy[d] + estimates[d], d),
+        )
+        est_busy[preferred] += estimates[preferred]
+        return preferred
 
-        try:
-            return self._execute(
-                index,
-                job,
-                health=health,
-                base_now=base_now,
-                preferred_device=preferred_device,
-            )
-        except ReproError as exc:
-            exc.with_context(job=job.label)
-            return RecoveryReport(
-                result=None,
-                attempts=1,
-                errors=(str(exc),),
-                error_rows=(exc.to_row(),),
-            )
-
-    def _execute(
-        self,
-        index: int,
-        job: Job,
-        *,
-        health=None,
-        base_now=0.0,
-        preferred_device=None,
-    ):
-        """Run one job; returns a RecoveryReport (trivial on the fast path).
-
-        Without any reliability option the job runs exactly as before —
-        one fresh engine, errors propagate.  With reliability enabled the
-        job goes through :func:`run_with_recovery`: per-job checkpoints,
-        injected faults, retries with failover (breaker-aware when *health*
-        is given); a job that exhausts its attempts yields a failed report
-        instead of aborting the batch.
-        """
-        from repro.engines import make_engine
-
-        budget = self._effective_budget(job)
-        if not self._reliability_enabled:
-            from repro.reliability.retry import RecoveryReport
-
-            options = self._job_engine_options(job)
-            device_index = None
-            if self.device_specs is not None and preferred_device is not None:
-                # Heterogeneous fleet: the job runs on its assigned
-                # device's silicon.  CPU/library engines have no device to
-                # retarget; they keep the placement but not the spec.
-                device_index = preferred_device
-                from repro.engines import engine_accepts_device
-
-                if engine_accepts_device(job.engine):
-                    options.setdefault(
-                        "device", self.device_specs[device_index]
-                    )
-            engine = make_engine(job.engine, **options)
-            result = engine.optimize(
-                job.resolved_problem(),
-                n_particles=job.n_particles,
-                max_iter=job.max_iter,
-                params=job.resolved_params,
-                record_history=job.record_history,
-                budget=budget,
-                guard=self.guard,
-            )
-            return RecoveryReport(
-                result=result,
-                attempts=1,
-                engines=(engine,),
-                device_index=device_index,
-            )
-
+    def _checkpoint_manager(self, index: int):
+        """Job *index*'s checkpoint manager, or ``None`` without a
+        ``checkpoint_dir`` — one per job, solo or fused member alike."""
+        if self.checkpoint_dir is None:
+            return None
         from pathlib import Path
 
         from repro.reliability.checkpoint import CheckpointManager
-        from repro.reliability.retry import RetryPolicy, run_with_recovery
 
-        injector = (
-            self.faults.injector_for(index, job.label)
-            if self.faults is not None
-            else None
+        return CheckpointManager(
+            Path(self.checkpoint_dir) / f"job{index:04d}",
+            every=self.checkpoint_every,
+            keep=self.checkpoint_keep,
         )
-        manager = None
-        if self.checkpoint_dir is not None:
-            manager = CheckpointManager(
-                Path(self.checkpoint_dir) / f"job{index:04d}",
-                every=self.checkpoint_every,
-                keep=self.checkpoint_keep,
+
+    def _execute(
+        self, index: int, job: Job, *, health, base_now, preferred_device
+    ):
+        """Run one job under :func:`run_with_recovery`; returns its report.
+
+        Per-job checkpoints, injected faults and retries with failover
+        (breaker-aware when *health* is given) apply when configured;
+        without ``retry``/``faults``/``checkpoint_dir``/``breaker`` the job
+        gets one attempt.  Retryable errors end as a failed report; other
+        errors propagate.  On a heterogeneous fleet the job runs on its
+        placed device's spec (every GPU attempt; the CPU fallback has no
+        device to retarget) and keeps that placement.
+        """
+        from repro.reliability.retry import (
+            _NO_RETRY,
+            RetryPolicy,
+            run_with_recovery,
+        )
+
+        policy = self.retry
+        if policy is None:
+            recovering = (
+                self.faults is not None
+                or self.checkpoint_dir is not None
+                or self.breaker is not None
             )
-        return run_with_recovery(
+            policy = RetryPolicy() if recovering else _NO_RETRY
+        spec = None
+        if self.device_specs is not None:
+            spec = self.device_specs[preferred_device]
+        report = run_with_recovery(
             engine_name=job.engine,
             problem=job.resolved_problem(),
             n_particles=job.n_particles,
             max_iter=job.max_iter,
             params=job.resolved_params,
             record_history=job.record_history,
-            engine_options=self._job_engine_options(job),
-            policy=self.retry or RetryPolicy(),
-            injector=injector,
-            checkpoint=manager,
-            budget=budget,
+            engine_options=self._job_engine_options(job, spec),
+            policy=policy,
+            injector=(
+                self.faults.injector_for(index, job.label)
+                if self.faults is not None
+                else None
+            ),
+            checkpoint=self._checkpoint_manager(index),
+            budget=self._effective_budget(job),
             guard=self.guard,
             health=health,
             job_label=job.label,
             preferred_device=preferred_device,
             base_now=base_now,
         )
+        if spec is not None:
+            report.device_index = preferred_device
+        return report
 
     def _execute_fused(self, indices, effective):
         """Run one fused group; returns ``(reports_by_index, lane_seconds,
         record_row)``.
 
-        Every member gets the engine, budget, guard and checkpoint manager
-        the solo path would have given it — :class:`FusedGroupRunner` only
+        Every member starts as a :class:`~repro.batch.dispatch.RunningJob`
+        with the engine options, budget, guard and checkpoint manager the
+        solo path would have given it — :class:`FusedGroupRunner` only
         changes *how* the iterations are driven, never what they compute.
-        With any overload knob set, an escaping :class:`ReproError` fails
-        the whole group (its members' states are interdependent mid-loop)
-        instead of aborting the batch.
         """
         from repro.batch.fused import FusedGroupRunner
-        from repro.engines import make_engine
-        from repro.reliability.retry import RecoveryReport
+        from repro.reliability.retry import _NO_RETRY, Attempts, RecoveryReport
 
-        labels = [effective[i].label for i in indices]
-        try:
-            runs = []
-            engines = {}
-            for i in indices:
-                job = effective[i]
-                engine = make_engine(
-                    job.engine, **self._job_engine_options(job)
-                )
-                manager = None
-                restore = None
-                if self.checkpoint_dir is not None:
-                    from pathlib import Path
-
-                    from repro.reliability.checkpoint import CheckpointManager
-
-                    manager = CheckpointManager(
-                        Path(self.checkpoint_dir) / f"job{i:04d}",
-                        every=self.checkpoint_every,
-                        keep=self.checkpoint_keep,
+        members = []
+        for i in indices:
+            job = effective[i]
+            manager = self._checkpoint_manager(i)
+            # Started like a solo attempt: from the newest checkpoint, or
+            # from scratch when that snapshot does not fit the engine.
+            members.append(
+                Attempts(_NO_RETRY, job.engine, manager).start(
+                    lambda restore: RunningJob(
+                        job,
+                        engine_options=self._job_engine_options(job),
+                        budget=self._effective_budget(job),
+                        guard=self.guard,
+                        checkpoint=manager,
+                        restore=restore,
                     )
-                    restore = manager.load_latest()
-                run = engine.start_run(
-                    job.resolved_problem(),
-                    n_particles=job.n_particles,
-                    max_iter=job.max_iter,
-                    params=job.resolved_params,
-                    record_history=job.record_history,
-                    checkpoint=manager,
-                    restore=restore,
-                    budget=self._effective_budget(job),
-                    guard=self.guard,
                 )
-                runs.append((i, run))
-                engines[i] = engine
-            runner = FusedGroupRunner(runs)
-            results = runner.execute()
-        except ReproError as exc:
-            if not self._overload_enabled:
-                raise
-            exc.with_context(job=", ".join(labels))
-            reports = {
-                i: RecoveryReport(
-                    result=None,
-                    attempts=1,
-                    errors=(str(exc),),
-                    error_rows=(exc.to_row(),),
-                )
-                for i in indices
-            }
-            row = {
-                "indices": list(indices),
-                "members": labels,
-                "status": "failed",
-                "error": str(exc),
-            }
-            return reports, 0.0, row
+            )
+        runner = FusedGroupRunner(
+            [(i, member.run) for i, member in zip(indices, members)]
+        )
+        results = runner.execute()
         reports = {
             i: RecoveryReport(
-                result=result, attempts=1, engines=(engines[i],)
+                result=result, attempts=1, engines=(member.engine,)
             )
-            for (i, _run), result in zip(runs, results)
+            for i, member, result in zip(indices, members, results)
         }
         row = {
             "indices": list(indices),
-            "members": labels,
+            "members": [effective[i].label for i in indices],
             "status": "completed",
             **runner.info(),
         }
         return reports, runner.lane_seconds, row
+
+    @staticmethod
+    def _failed_unit(indices, effective, exc: ReproError):
+        """``(reports, lane_seconds, record_row)`` of a unit that failed
+        with *exc*: every member fails with it and occupies no lane."""
+        from repro.reliability.retry import RecoveryReport
+
+        labels = [effective[i].label for i in indices]
+        exc.with_context(job=", ".join(labels))
+        reports = {
+            i: RecoveryReport(
+                result=None,
+                attempts=1,
+                errors=(str(exc),),
+                error_rows=(exc.to_row(),),
+            )
+            for i in indices
+        }
+        row = {
+            "indices": list(indices),
+            "members": labels,
+            "status": "failed",
+            "error": str(exc),
+        }
+        return reports, 0.0, row
 
     def _schedule(
         self,
         batch: list[Job],
         executed,
         *,
+        units=None,
         decisions=None,
-        exec_order=None,
         health=None,
-        group_units=None,
     ) -> tuple[list[JobOutcome], list[float]]:
         """Replay job durations onto shared per-device stream timelines.
 
-        Shed jobs (``executed[i] is None``) never touch a lane.  When a
-        breaker fleet placed a job on a specific device
+        *units* are the ``(indices, lane_seconds)`` placement units in
+        execution order: a fused group shares one lane segment (its
+        modelled group duration), every other job is its own unit; by
+        default each executed job in submission order.  Shed jobs
+        (``executed[i] is None``) never touch a lane.  When a breaker
+        fleet or a heterogeneous fleet placed a job on a specific device
         (``report.device_index``), placement is pinned to that device's
         lanes — open-breaker devices stop receiving work and the schedule
         re-packs onto the healthy ones.
@@ -1141,35 +1092,16 @@ class BatchScheduler:
         releases.
         """
         timeline = FleetTimeline(self.n_devices, self.streams_per_device)
-
-        order = [
-            i
-            for i in (exec_order if exec_order is not None else range(len(batch)))
-            if executed[i] is not None
-        ]
-
-        # Placement units: a fused group shares one lane segment (its
-        # modelled group duration); every other job is its own unit.
-        group_index: dict[int, int] = {}
-        if group_units:
-            for gi, (indices, _lane_s) in enumerate(group_units):
-                for i in indices:
-                    group_index[i] = gi
-        units: list[tuple[tuple[int, ...], float]] = []
-        placed_groups: set[int] = set()
-        for i in order:
-            gi = group_index.get(i)
-            if gi is None:
-                units.append(((i,), _lane_duration(executed[i])))
-            elif gi not in placed_groups:
-                placed_groups.add(gi)
-                indices, lane_seconds = group_units[gi]
-                live = tuple(j for j in indices if executed[j] is not None)
-                units.append((live, lane_seconds))
+        if units is None:
+            units = [
+                ((i,), _lane_duration(report))
+                for i, report in enumerate(executed)
+                if report is not None
+            ]
         if self.policy in ("packed", "fused"):
             # LPT bin-packing: longest units placed first, ties broken by
             # submission order so the schedule is fully deterministic.
-            units.sort(key=lambda u: (-u[1], u[0][0]))
+            units = sorted(units, key=lambda u: (-u[1], u[0][0]))
 
         placements: dict[int, LanePlacement] = {}
         for unit, duration in units:

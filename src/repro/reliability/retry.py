@@ -93,6 +93,11 @@ class RetryPolicy:
         return None
 
 
+#: One attempt, no retries: what a run gets when no recovery option is set,
+#: in a batch or when served.  Retryable errors end it as a failed run.
+_NO_RETRY = RetryPolicy(max_attempts=1)
+
+
 @dataclass
 class RecoveryReport:
     """Outcome of :func:`run_with_recovery`: the result plus the price paid."""

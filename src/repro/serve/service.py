@@ -99,7 +99,7 @@ from repro.errors import (
 from repro.io import result_from_dict, result_to_dict
 from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.faults import FaultPlan
-from repro.reliability.retry import Attempts, RetryPolicy
+from repro.reliability.retry import _NO_RETRY, Attempts, RetryPolicy
 from repro.reliability.snapshot import ensure_capturable, params_to_spec
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.events import ServiceEvent, events_to_json
@@ -113,9 +113,6 @@ __all__ = [
     "ProgressUpdate",
     "ServiceReport",
 ]
-
-#: The attempt policy of a service without ``retry``: one attempt.
-_NO_RETRY = RetryPolicy(max_attempts=1)
 
 
 @dataclass(frozen=True)
@@ -1133,13 +1130,11 @@ class OptimizationService:
                 if on_cpu
                 else job
             )
-            options = effective_engine_options(run_job, self.graph)
-            spec = self._spec_for_device(device)
-            if spec is not None and not on_cpu:
-                from repro.engines import engine_accepts_device
-
-                if engine_accepts_device(run_job.engine):
-                    options.setdefault("device", spec)
+            options = effective_engine_options(
+                run_job,
+                self.graph,
+                None if on_cpu else self._spec_for_device(device),
+            )
 
             run = None
             failure: ReproError | None = None
@@ -1226,7 +1221,11 @@ class OptimizationService:
                 return
 
             # The attempt failed (contained error) or outlived its lease.
-            fail_sim = float(run.engine.clock.now) if run is not None else 0.0
+            fail_sim = (
+                float(run.engine.clock.now)
+                if run is not None
+                else getattr(failure, "sim_seconds", 0.0)
+            )
             fail_time = start + overhead + fail_sim
             if stalled:
                 failure = StalledRunError(

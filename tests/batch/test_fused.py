@@ -234,6 +234,23 @@ class TestResumeMidGroup:
             assert result_to_dict(b.result) == result_to_dict(_solo(job))
 
 
+    def test_incompatible_snapshot_reruns_from_scratch(self, tmp_path):
+        """A banked snapshot that does not fit the member's engine (fp16
+        storage read by fp32) reruns that member from scratch, as the solo
+        path does, instead of failing the batch."""
+        ck = tmp_path / "ckpts"
+        jobs = _family("fastpso", 3, max_iter=20)
+        BatchScheduler(
+            policy="packed", checkpoint_dir=ck, checkpoint_every=5
+        ).run([job.with_overrides(engine="fastpso-fp16") for job in jobs])
+        batch = BatchScheduler(
+            policy="fused", checkpoint_dir=ck, checkpoint_every=5
+        ).run(jobs)
+        assert batch.fused_rows[0]["status"] == "completed"
+        for job, outcome in zip(jobs, batch.outcomes):
+            assert result_to_dict(outcome.result) == result_to_dict(_solo(job))
+
+
 class TestAdmissionGroupPricing:
     def test_group_estimate_exceeds_member_sum(self):
         """The stacked tensors are priced on top of the members' own

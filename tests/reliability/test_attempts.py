@@ -68,8 +68,11 @@ def served(job, plan, policy, directory):
         ((("device_lost", 60),), False),
         # The OOM fails attempt 2, so attempt 3 is the CPU fallback.
         ((("launch_failure", 60), ("oom", 60)), True),
+        # Fails while the run is still initialising: the lost work is what
+        # the failed engine had spent before the fault.
+        ((("launch_failure", 1),), False),
     ],
-    ids=["launch_failure", "device_lost", "launch_failure+oom"],
+    ids=["launch_failure", "device_lost", "launch_failure+oom", "at_init"],
 )
 def test_solo_and_served_recover_identically(tmp_path, specs, fell_back):
     policy = RetryPolicy(max_attempts=3)

@@ -123,3 +123,32 @@ class TestExhaustedFleet:
             BatchScheduler().run(
                 [Job("sphere", dim=4, engine="mgpu", n_particles=1)]
             )
+
+    def test_reliability_off_fails_only_the_out_of_memory_job(self):
+        """Without any recovery or overload option a retryable device error
+        ends its own job as ``failed`` and the rest of the batch completes."""
+        from dataclasses import replace
+
+        from repro.batch import Job
+        from repro.gpusim.device import tesla_v100
+
+        tiny = replace(tesla_v100(), global_mem_bytes=64 * 1024)
+        jobs = [
+            Job("sphere", dim=16, n_particles=32, max_iter=10, seed=1),
+            Job(
+                "sphere",
+                dim=16,
+                n_particles=256,
+                max_iter=10,
+                seed=2,
+                engine_options={"device": tiny},
+            ),
+            Job("sphere", dim=16, n_particles=32, max_iter=10, seed=3),
+        ]
+        batch = BatchScheduler().run(jobs)
+        assert [o.status for o in batch.outcomes] == [
+            "completed", "failed", "completed",
+        ]
+        failed = batch.outcomes[1]
+        assert failed.result is None and failed.attempts == 1
+        assert "out of device memory" in failed.error
