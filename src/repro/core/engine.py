@@ -513,12 +513,23 @@ class Engine(ABC):
         """Engine-specific extra eager conditions (e.g. launch recording)."""
         return None
 
+    def _graph_plan_key(self):
+        """The engine's part of a plan-cache key (see
+        :mod:`repro.gpusim.graph`), or ``None`` when its runs never reuse
+        a plan.
+
+        Engines with a native plan return a hashable of their class and
+        every option their captured iteration depends on.
+        """
+        return None
+
     def _graph_build_native(self, graph, problem, params, state, rng):
         """Build the native (one-C-call-per-iteration) tier.
 
-        Called by :class:`~repro.gpusim.graph.IterationRunner` with the
-        capture graph, before the validate iteration.  Returns either
-        ``(step, verify)`` — ``step()`` runs one full iteration through
+        Called by :class:`~repro.gpusim.graph.IterationRunner` with a
+        capture graph: the run's own, before the validate iteration, or a
+        verified one from the plan cache after a matching warmup.  Returns
+        either ``(step, verify)`` — ``step()`` runs one full iteration through
         ``_fastpath.c`` and ``verify(run_reference)`` shadow-checks the
         validate iteration bitwise before promotion (see
         :func:`repro.gpusim.fastpath.verify_step`) — or a reason string

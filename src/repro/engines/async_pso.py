@@ -54,6 +54,9 @@ class AsyncFastPSOEngine(FastPSOEngine):
         # underlying kernel spec's identity via the kernel key).
         self._noop_kernels: dict[str, Kernel] = {}
 
+    def _graph_plan_key(self):
+        return (*super()._graph_plan_key(), self.n_chunks)
+
     # -- helpers --------------------------------------------------------------
     def _chunk_slices(self, n: int):
         """Contiguous chunk ranges; sizes differ by at most one."""

@@ -67,11 +67,6 @@ class CpuEngineBase(Engine):
         cost = cpu_loop_cost(self.cpu, n_elems, threads=self.threads, **mix)
         self.clock.advance(cost.seconds)
 
-    def _charge_dynamic(self, n_elems: int, **mix: float) -> None:
-        """:meth:`_charge` for data-dependent sizes (see launch-graph capture)."""
-        cost = cpu_loop_cost(self.cpu, n_elems, threads=self.threads, **mix)
-        self.clock.advance_dynamic(cost.seconds)
-
     def _charge_rng(self, n_draws: int) -> None:
         """PRNG draws, parallelised only to the configured efficiency."""
         eff_threads = max(
@@ -119,10 +114,16 @@ class CpuEngineBase(Engine):
         on the clock) so a captured launch graph sees a fixed charge-slot
         layout across iterations.
         """
-        if improved:
-            self._charge_dynamic(improved * dim, bytes_per_elem=2 * _F32)
-        else:
-            self.clock.advance_dynamic(0.0)
+        self.clock.advance_dynamic(self._pbest_copy_cost(improved, dim)[0])
+
+    def _pbest_copy_cost(self, improved: int, dim: int) -> tuple[float, None]:
+        """``(seconds, None)`` of the row-copy charge; no profile row."""
+        if not improved:
+            return 0.0, None
+        cost = cpu_loop_cost(
+            self.cpu, improved * dim, threads=self.threads, bytes_per_elem=2 * _F32
+        )
+        return cost.seconds, None
 
     def _update_gbest(self, state: SwarmState) -> None:
         gbest_scan(state)
@@ -178,6 +179,9 @@ class CpuEngineBase(Engine):
         )
 
     # -- launch-graph native tier -----------------------------------------------
+    def _graph_plan_key(self):
+        return (type(self), self.cpu, self.threads, self.rng_parallel_efficiency)
+
     def _graph_build_native(self, graph, problem, params, state, rng):
         """The one-C-call iteration tier (see :mod:`repro.gpusim.fastpath`).
 

@@ -519,6 +519,24 @@ class FastPSOEngine(Engine):
         else:
             self.clock.advance_dynamic(0.0)
 
+    def _pbest_copy_cost(self, improved: int, dim: int):
+        """``(seconds, profile row)`` of :meth:`_charge_pbest_copy` for
+        *improved* rows, charging nothing.
+
+        The row is ``(kernel_name, cost, n_elems)`` for the ``pbest_copy``
+        :class:`~repro.gpusim.launch.LaunchStats` bucket, or ``None`` when
+        nothing improved (no launch is recorded then).  The native step
+        prices its dynamic slot here.
+        """
+        if not improved:
+            return 0.0, None
+        n_elems = improved * dim
+        kernel = self._kernels["pbest_copy"]
+        _, cost = self.ctx.launcher.cost(
+            kernel, n_elems, config=self._cfg("pbest_copy", n_elems)
+        )
+        return cost.seconds, (kernel.spec.name, cost, n_elems)
+
     def _update_gbest(self, state: SwarmState) -> None:
         idx, val = self.ctx.reducer.argmin(state.pbest_values)
         if val < state.gbest_value:
@@ -603,6 +621,18 @@ class FastPSOEngine(Engine):
         if self.ctx.launcher.fault_injector is not None:
             return "fault-injector"
         return None
+
+    def _graph_plan_key(self):
+        return (
+            type(self),
+            self.backend,
+            self.half_storage,
+            self.fuse_update,
+            type(self.ctx.allocator),
+            self.threads_per_block,
+            self.ctx.spec,
+            self.ctx.launcher.cost_params,
+        )
 
     def _graph_build_native(self, graph, problem, params, state, rng):
         """The one-C-call iteration tier (see :mod:`repro.gpusim.fastpath`).

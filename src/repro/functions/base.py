@@ -122,6 +122,12 @@ def register(cls: type[BenchmarkFunction]) -> type[BenchmarkFunction]:
     return cls
 
 
+def is_registered(function: BenchmarkFunction) -> bool:
+    """Whether *function* is an instance of the class registered under its
+    name (a built-in, not a wrapper or an unregistered subclass)."""
+    return _REGISTRY.get(function.name.lower()) is type(function)
+
+
 def resolve_function(name: str) -> str:
     """Resolve *name* to its canonical registry key.
 

@@ -30,9 +30,12 @@
  * fastpath_plan struct built once at plan-install time (mirrored by a
  * ctypes.Structure in fastpath.py — field order and types must match);
  * per-iteration values (fitness vector, RNG block cursor, scheduled
- * inertia, adaptive velocity bounds) arrive as call arguments.  Returns
- * the number of particles whose pbest improved (the dynamic-size input of
- * the pbest-copy clock charge).
+ * inertia, adaptive velocity fraction) arrive as call arguments.  The
+ * float32 velocity bounds of an iteration are (float)(base * frac) from
+ * the float64 base bounds: the same double multiply and single rounding
+ * as NumPy's (lo * frac).astype(np.float32).  Returns the number of
+ * particles whose pbest improved (the dynamic-size input of the
+ * pbest-copy clock charge).
  */
 #include <string.h>
 
@@ -54,6 +57,10 @@ typedef struct {
     const uint32_t* keys;    /* flat Philox key schedule (2 * ROUNDS) */
     const float* pos_lo;     /* (d,) or NULL when clip_positions is off */
     const float* pos_hi;     /* (d,) or NULL */
+    const double* vel_lo;    /* (d,) float64 base bounds, NULL if unclamped */
+    const double* vel_hi;    /* (d,) or NULL */
+    float* vlo;              /* (d,) plan-owned: this iteration's bounds */
+    float* vhi;              /* (d,) plan-owned */
     float c1;                /* cognitive coefficient, float32 */
     float c2;                /* social coefficient, float32 */
 } fastpath_plan;
@@ -297,8 +304,7 @@ static void fused_update(uint64_t n, uint64_t d, float w, float c1, float c2,
 }
 
 int64_t fastpath_step(const fastpath_plan* pl, const double* values,
-                      uint64_t block0, float w, const float* vlo,
-                      const float* vhi) {
+                      uint64_t block0, float w, double frac) {
     const uint64_t n = pl->n, d = pl->d;
     const uint64_t nd = n * d;
 
@@ -339,6 +345,18 @@ int64_t fastpath_step(const fastpath_plan* pl, const double* values,
     fill_unit_f32(block0, pl->stream_id, nd, pl->keys, pl->l_weights);
     fill_unit_f32(block0 + blocks_per_draw, pl->stream_id, nd, pl->keys,
                   pl->g_weights);
+
+    /* -- this iteration's velocity bounds (Eq. 5, adaptive) --------------- */
+    const float* vlo = NULL;
+    const float* vhi = NULL;
+    if (pl->vel_lo != NULL) {
+        for (uint64_t j = 0; j < d; j++) {
+            pl->vlo[j] = (float)(pl->vel_lo[j] * frac);
+            pl->vhi[j] = (float)(pl->vel_hi[j] * frac);
+        }
+        vlo = pl->vlo;
+        vhi = pl->vhi;
+    }
 
     /* -- fused velocity (Eq. 4 + Eq. 5 clamp) + position (Eq. 2) ---------- */
     fused_update(n, d, w, pl->c1, pl->c2, pl->pbest_positions, pl->positions,

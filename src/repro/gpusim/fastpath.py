@@ -10,15 +10,20 @@ buffers.  It is the steady-state tier of the launch-graph lifecycle
 module provides:
 
 * :class:`NativePlan` — the per-run binding: a C-side ``fastpath_plan``
-  struct built once from the swarm state, the workspace weight buffers and
-  the RNG key schedule, plus the per-call :meth:`~NativePlan.step` that
-  syncs the scalar gbest fields in/out and advances the Philox cursor;
+  struct built once from the swarm state, the workspace weight buffers,
+  the RNG key schedule and the float64 base velocity bounds, plus the
+  per-call :meth:`~NativePlan.step` that syncs the scalar gbest fields
+  in/out and advances the Philox cursor;
 * :func:`build_native` — the native tier's iteration, shared by both
-  engine families: evaluate, one :meth:`NativePlan.step`, then one pass
-  over the capture's ``(section, seconds)`` charges (the eager float
-  additions, in order), with the dynamic pbest-copy slot charged live and
-  a GPU engine's pool-hit alloc/free pair folded into the captured
-  allocator delta;
+  engine families: evaluate, one :meth:`NativePlan.step` with the
+  scheduled inertia and the adaptive velocity fraction (the C call scales
+  the bounds), then one pass over the capture's ``(section, seconds)``
+  charges (the eager float additions, in order), with the dynamic
+  pbest-copy slot taken from a per-plan table priced once per improved
+  count and a GPU engine's pool-hit alloc/free pair folded into the
+  captured allocator delta.  The capture may be this run's own or a
+  verified one from the plan cache (:mod:`repro.gpusim.graph`): the step
+  binds only this run's buffers;
 * :func:`verify_step` — the promotion gate used on the validate iteration:
   the *trusted* traced eager iteration runs on the real state, the C step
   on shadow copies of the pre-iteration state, and every output buffer
@@ -73,6 +78,10 @@ class _PlanStruct(ctypes.Structure):
         ("keys", ctypes.c_void_p),
         ("pos_lo", ctypes.c_void_p),
         ("pos_hi", ctypes.c_void_p),
+        ("vel_lo", ctypes.c_void_p),
+        ("vel_hi", ctypes.c_void_p),
+        ("vlo", ctypes.c_void_p),
+        ("vhi", ctypes.c_void_p),
         ("c1", ctypes.c_float),
         ("c2", ctypes.c_float),
     ]
@@ -99,9 +108,13 @@ def _make_struct(
     keys_addr: int,
     pos_lo: np.ndarray | None,
     pos_hi: np.ndarray | None,
+    vel: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None,
     c1: float,
     c2: float,
 ) -> _PlanStruct:
+    """*vel* is ``(base_lo, base_hi, lo_out, hi_out)``: the float64 base
+    velocity bounds and the two float32 ``(d,)`` buffers the step writes
+    each iteration's bounds into, or ``None`` when unclamped."""
     for name, arr in (
         ("positions", positions),
         ("velocities", velocities),
@@ -113,6 +126,11 @@ def _make_struct(
     _require_f32("gbest_position", gbest_position, (d,))
     if pbest_values.dtype != np.float64 or not pbest_values.flags.c_contiguous:
         raise ValueError("pbest_values must be C-contiguous float64")
+    if vel is not None:
+        for arr, dtype in zip(vel, (np.float64, np.float64, np.float32, np.float32)):
+            if arr.dtype != dtype or not arr.flags.c_contiguous or arr.shape != (d,):
+                raise ValueError("velocity bound buffers must be contiguous (d,)")
+    vel_addrs = (None,) * 4 if vel is None else tuple(a.ctypes.data for a in vel)
     return _PlanStruct(
         n=n,
         d=d,
@@ -129,6 +147,10 @@ def _make_struct(
         keys=keys_addr,
         pos_lo=None if pos_lo is None else pos_lo.ctypes.data,
         pos_hi=None if pos_hi is None else pos_hi.ctypes.data,
+        vel_lo=vel_addrs[0],
+        vel_hi=vel_addrs[1],
+        vlo=vel_addrs[2],
+        vhi=vel_addrs[3],
         c1=c1,
         c2=c2,
     )
@@ -140,7 +162,9 @@ def _self_test(lib: ctypes.CDLL) -> bool:
     The case is deliberately awkward: ``n*d = 30`` exercises the partial
     final Philox block, ``values`` contains a NaN (must never claim) and an
     exact tie (strict ``<`` keeps the earlier best), and both the velocity
-    clamp and the position clip are active.
+    clamp and the position clip are active.  The clamp runs through the
+    adaptive path: float64 base bounds that float32 cannot represent,
+    scaled in C by a fraction that is not a power of two.
     """
     from repro.core.parameters import PAPER_DEFAULTS
     from repro.core.swarm import (
@@ -165,7 +189,9 @@ def _self_test(lib: ctypes.CDLL) -> bool:
     values[3] = pbest_val[3]  # exact tie keeps the earlier best
     gval0, gidx0 = float(pbest_val[2]), 2
     gpos0 = pbest_pos[2].copy()
-    vb64 = (np.full(d, -2.5, dtype=np.float64), np.full(d, 2.5, dtype=np.float64))
+    vb_hi = init.uniform((d,), 1.0, 3.0, dtype=np.float64)
+    vb64 = (-vb_hi, vb_hi)
+    frac = 1.0 - (1.0 - 0.02) * (7 / 24)
     plo = np.full(d, -4.0, dtype=np.float32)
     phi = np.full(d, 4.0, dtype=np.float32)
 
@@ -193,7 +219,7 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         l_ref,
         g_ref,
         params,
-        vb64,
+        (vb64[0] * frac, vb64[1] * frac),
         out=state.velocities,
         scratch=(
             np.empty((n, d), dtype=np.float32),
@@ -212,21 +238,19 @@ def _self_test(lib: ctypes.CDLL) -> bool:
     c_gval = np.array([gval0], dtype=np.float64)
     c_gidx = np.array([gidx0], dtype=np.int64)
     c_gpos = gpos0.copy()
+    vel = (*vb64, np.empty(d, dtype=np.float32), np.empty(d, dtype=np.float32))
     struct = _make_struct(
         n, d, rng_nat.stream_id,
         c_pos, c_vel, c_pbp, c_pbv, c_l, c_g,
         c_gval, c_gidx, c_gpos, rng_nat._keys_addr,
-        plo, phi, float(params.cognitive), float(params.social),
+        plo, phi, vel, float(params.cognitive), float(params.social),
     )
-    vlo32 = vb64[0].astype(np.float32)
-    vhi32 = vb64[1].astype(np.float32)
     improved = lib.fastpath_step(
         ctypes.addressof(struct),
         values.ctypes.data,
         rng_nat.position,
         float(params.inertia),
-        vlo32.ctypes.data,
-        vhi32.ctypes.data,
+        frac,
     )
     return (
         int(improved) == int(np.count_nonzero(mask))
@@ -250,15 +274,14 @@ _MODULE = native.NativeModule(
     fn_specs={
         "fastpath_step": (
             ctypes.c_int64,
-            # plan*, values*, block0, w, vlo*, vhi* — raw addresses so the
+            # plan*, values*, block0, w, frac — raw addresses so the
             # per-iteration call builds no ctypes wrapper objects.
             [
                 ctypes.c_void_p,
                 ctypes.c_void_p,
                 ctypes.c_uint64,
                 ctypes.c_float,
-                ctypes.c_void_p,
-                ctypes.c_void_p,
+                ctypes.c_double,
             ],
         ),
     },
@@ -278,13 +301,13 @@ def available() -> bool:
 class NativePlan:
     """The per-run native binding: one struct, one hot call per iteration.
 
-    Built by :func:`build_native` from the capture, before the validate
-    iteration.  The struct holds raw addresses of the run's
-    stable buffers (swarm matrices, workspace weight buffers, RNG key
-    schedule) plus three small plan-owned buffers for the scalar gbest
-    fields; :meth:`step` syncs those scalars from/to the ``SwarmState``
-    around the C call, so host-side observers (history recording,
-    multi-GPU best exchange) keep seeing plain Python floats.
+    Built by :func:`build_native` from a verified capture.  The struct
+    holds raw addresses of the run's stable buffers (swarm matrices,
+    workspace weight buffers, RNG key schedule) plus small plan-owned
+    buffers for the scalar gbest fields and the iteration's float32
+    velocity bounds; :meth:`step` syncs the gbest scalars from/to the
+    ``SwarmState`` around the C call, so host-side observers (history
+    recording, multi-GPU best exchange) keep seeing plain Python floats.
 
     ``state.gbest_position`` is re-pointed at the plan's own ``(d,)``
     buffer so the C claim can update it in place; an identity check each
@@ -308,6 +331,7 @@ class NativePlan:
         "_addr",
         "_pos_lo",
         "_pos_hi",
+        "_vel",
         "_c1",
         "_c2",
     )
@@ -321,6 +345,7 @@ class NativePlan:
         g_weights: np.ndarray,
         params,
         pos_bounds: tuple[np.ndarray, np.ndarray] | None,
+        vel_bounds: tuple[np.ndarray, np.ndarray] | None,
     ) -> None:
         n, d = state.positions.shape
         self.state = state
@@ -337,6 +362,15 @@ class NativePlan:
         else:
             self._pos_lo = np.ascontiguousarray(pos_bounds[0], dtype=np.float32)
             self._pos_hi = np.ascontiguousarray(pos_bounds[1], dtype=np.float32)
+        if vel_bounds is None:
+            self._vel = None
+        else:
+            self._vel = (
+                np.ascontiguousarray(vel_bounds[0], dtype=np.float64),
+                np.ascontiguousarray(vel_bounds[1], dtype=np.float64),
+                np.empty(d, dtype=np.float32),
+                np.empty(d, dtype=np.float32),
+            )
         self._c1 = float(params.cognitive)
         self._c2 = float(params.social)
         self._fn = lib.fastpath_step
@@ -346,23 +380,17 @@ class NativePlan:
             state.pbest_positions, state.pbest_values,
             l_weights, g_weights,
             self.gval, self.gidx, self.gpos, rng._keys_addr,
-            self._pos_lo, self._pos_hi, self._c1, self._c2,
+            self._pos_lo, self._pos_hi, self._vel, self._c1, self._c2,
         )
         self._addr = ctypes.addressof(self._struct)
 
-    def step(
-        self,
-        values: np.ndarray,
-        w: float,
-        vlo: np.ndarray | None,
-        vhi: np.ndarray | None,
-    ) -> int:
+    def step(self, values: np.ndarray, w: float, frac: float) -> int:
         """One full iteration body in C; returns the improved-pbest count.
 
         *values* is this iteration's fitness vector (float64, contiguous —
         guaranteed by the evaluator contract and checked once during the
-        verification iteration); *w* the scheduled inertia; *vlo*/*vhi* the
-        current float32 velocity bounds or ``None``.
+        verification iteration); *w* the scheduled inertia; *frac* the
+        adaptive velocity-bound fraction (``1.0`` when not adaptive).
         """
         state, rng = self.state, self.rng
         # Sync the scalar gbest fields in (they are plain Python attributes
@@ -372,41 +400,54 @@ class NativePlan:
         if state.gbest_position is not self.gpos:
             np.copyto(self.gpos, state.gbest_position)
             state.gbest_position = self.gpos
-        improved = self._fn(
-            self._addr,
-            values.ctypes.data,
-            rng._block,
-            w,
-            None if vlo is None else vlo.ctypes.data,
-            None if vhi is None else vhi.ctypes.data,
-        )
+        improved = self._fn(self._addr, values.ctypes.data, rng._block, w, frac)
         rng._block += self.blocks
         state.gbest_value = float(self.gval[0])
         state.gbest_index = int(self.gidx[0])
-        return int(improved)
+        return improved
 
 
-def _step_inputs(engine, problem, params):
-    """``(w, vlo, vhi)``: the scheduled inertia and the current velocity
-    bounds as float32 (``None`` when unclamped)."""
-    p = engine._scheduled_params(params)
-    vb = engine._current_velocity_bounds(problem, p)
-    if vb is None:
-        return float(p.inertia), None, None
-    return float(p.inertia), vb[0].astype(np.float32), vb[1].astype(np.float32)
+def _step_inputs(engine, params):
+    """A zero-argument callable returning this iteration's ``(w, frac)``.
+
+    *w* is the scheduled inertia and *frac* the adaptive velocity-bound
+    fraction, computed with the float operations of
+    ``Engine._scheduled_params`` and ``Engine._current_velocity_bounds``
+    (the C step scales the float64 base bounds by *frac*).
+    """
+    schedule = params.inertia_schedule
+    inertia = params.inertia
+    shrink = 1.0 - params.final_velocity_fraction
+    adaptive = params.adaptive_velocity
+
+    def inputs():
+        progress = engine._progress
+        w = inertia
+        if schedule is not None:
+            w = schedule.weight(progress)
+            if not 0.0 <= w <= 2.0:
+                # Out of range: raise exactly as the eager path does.
+                w = engine._scheduled_params(params).inertia
+        return w, (1.0 - shrink * progress if adaptive else 1.0)
+
+    return inputs
 
 
 def build_native(engine, graph, problem, params, state, rng, evaluate):
     """The native tier's ``(step, verify)`` pair, or why the run is ineligible.
 
     *graph* is the capture (:class:`~repro.gpusim.graph.LaunchGraph`) whose
-    charges the step replays; *evaluate* the objective semantics.  An
-    engine with a device allocator (``graph.alloc_delta`` is recorded)
-    allocates the float32 ``(n, d)`` weight buffers first in its last
-    section and frees them last, in allocation order.  Their pool-hit
-    alloc/free pair is folded into the captured allocator delta; real
-    alloc/free calls take their captured slots whenever the fold does not
-    hold (direct allocator, too few pooled blocks, a fault injector).
+    charges the step replays; *evaluate* the objective semantics.  The
+    dynamic pbest-copy slot is priced per improved count, once per plan,
+    through the engine's ``_pbest_copy_cost`` (the launcher's own cost
+    path), and a GPU engine's ``pbest_copy`` profile row is updated as
+    :meth:`~repro.gpusim.launch.Launcher.charge` would.  An engine with a
+    device allocator (``graph.alloc_delta`` is recorded) allocates the
+    float32 ``(n, d)`` weight buffers first in its last section and frees
+    them last, in allocation order.  Their pool-hit alloc/free pair is
+    folded into the captured allocator delta; real alloc/free calls take
+    their captured slots whenever the fold does not hold (direct
+    allocator, too few pooled blocks, a fault injector).
     """
     if params.topology != "global":
         return f"native-unsupported-topology:{params.topology}"
@@ -448,19 +489,28 @@ def build_native(engine, graph, problem, params, state, rng, evaluate):
         pos_bounds = (problem.lower_bounds, problem.upper_bounds)
     l_w = engine._ws.array("l_weights", (n, d), np.float32)
     g_w = engine._ws.array("g_weights", (n, d), np.float32)
-    plan = NativePlan(lib, state, rng, l_w, g_w, params, pos_bounds)
-    clock, charge_dynamic = engine.clock, engine._charge_pbest_copy
-    fixed = None
-    if params.inertia_schedule is None and not params.adaptive_velocity:
-        fixed = _step_inputs(engine, problem, params)
+    plan = NativePlan(
+        lib, state, rng, l_w, g_w, params, pos_bounds,
+        problem.velocity_bounds(params.velocity_clamp),
+    )
+    clock = engine.clock
+    inputs = _step_inputs(engine, params)
+    launcher = getattr(getattr(engine, "ctx", None), "launcher", None)
+    copy_cost = engine._pbest_copy_cost
+    # improved count -> (head charges + the priced dynamic slot, profile row)
+    copies: list = [None] * (n + 1)
 
     def step() -> None:
         values = evaluate(state.positions)
-        inputs = fixed or _step_inputs(engine, problem, params)
-        improved = plan.step(values, *inputs)
-        clock.add_charges(head)
-        with clock.section(dyn_label):
-            charge_dynamic(improved, d)
+        improved = plan.step(values, *inputs())
+        entry = copies[improved]
+        if entry is None:
+            seconds, row = copy_cost(improved, d)
+            entry = copies[improved] = (head + [(dyn_label, seconds)], row)
+        clock.add_charges(entry[0])
+        if entry[1] is not None:
+            name, cost, n_elems = entry[1]
+            launcher.stats_row(name, dyn_label).add(cost, n_elems)
         if alloc is None or (foldable and alloc.fold_hits(nbytes_class, delta)):
             clock.add_charges(tail)
             return
@@ -473,14 +523,12 @@ def build_native(engine, graph, problem, params, state, rng, evaluate):
                 alloc.free(buf)
 
     def verify(run_reference) -> bool:
-        return verify_step(plan, run_reference, evaluate, engine, problem, params)
+        return verify_step(plan, run_reference, evaluate, engine, params)
 
     return step, verify
 
 
-def verify_step(
-    plan: NativePlan, run_reference, eval_fn, engine, problem, params
-) -> bool:
+def verify_step(plan: NativePlan, run_reference, eval_fn, engine, params) -> bool:
     """Promotion gate: run the real iteration, shadow-run the C step.
 
     Snapshots the pre-iteration state, lets the *trusted* reference (the
@@ -507,7 +555,7 @@ def verify_step(
     pre_gval = float(state.gbest_value)
     pre_gidx = int(state.gbest_index)
     pre_block = rng.position
-    w, vlo, vhi = _step_inputs(engine, problem, params)
+    w, frac = _step_inputs(engine, params)()
 
     run_reference()
 
@@ -530,16 +578,9 @@ def verify_step(
             n, d, rng.stream_id,
             pre_pos, pre_vel, pre_pbp, pre_pbv, sh_l, sh_g,
             sh_gval, sh_gidx, pre_gpos, rng._keys_addr,
-            plan._pos_lo, plan._pos_hi, plan._c1, plan._c2,
+            plan._pos_lo, plan._pos_hi, plan._vel, plan._c1, plan._c2,
         )
-        plan._fn(
-            ctypes.addressof(struct),
-            values.ctypes.data,
-            pre_block,
-            w,
-            None if vlo is None else vlo.ctypes.data,
-            None if vhi is None else vhi.ctypes.data,
-        )
+        plan._fn(ctypes.addressof(struct), values.ctypes.data, pre_block, w, frac)
         shadow = (pre_pos, pre_vel, pre_pbv, pre_pbp, pre_gpos, sh_l, sh_g)
         return (
             all(

@@ -11,12 +11,15 @@ one pass over the captured clock charges.
 The lifecycle, driven by :class:`IterationRunner`, has two execution
 tiers::
 
-    warmup -> capture -> validate -+-> native   (verified C step)
-                                   +-> eager    (every demotion)
+    warmup -+-------------------------------> native   (plan-cache hit)
+            +-> capture -> validate -+-> native   (verified C step)
+                                     +-> eager    (every demotion)
 
 ``warmup``
-    The first iteration runs eagerly, untraced.  It differs from the steady
-    state (allocator pool misses, cold launch caches) and is never captured.
+    The first iteration runs eagerly.  It differs from the steady state
+    (allocator pool misses, cold launch caches) and is never captured.  A
+    run with a plan-cache key (below) traces it: equal to the stored
+    plan's warmup record, the run goes native from the next iteration.
 ``capture``
     The second iteration runs eagerly with the clock trace and the
     launcher's capture sink attached, recording every clock charge
@@ -45,6 +48,22 @@ tiers::
     hands over with :meth:`IterationRunner.demote`.  The iterations already
     run were eager too, so a demoted run is exactly a ``graph=False`` run.
 
+The plan cache is the launch-graph analogue of the paper's pooled
+allocator (§3): pay the setup once per shape, not once per run.  A run
+that validate promotes stores its capture and its traced warmup in a
+process-level LRU cache of :data:`PLAN_CACHE_SIZE` entries, keyed by
+everything the capture depends on — the engine's graph-relevant options
+(``Engine._graph_plan_key``), the swarm shape, the built-in objective's
+name, dimension and bounds, and the parameters with the seed zeroed.  A
+later run of that key checks its own warmup against the stored one (the
+per-run verification that replaces capture and validate) and builds its
+own native step from the stored capture, bound to its own buffers.  A
+warmup mismatch, or a native step the run cannot build, sends it through
+capture and validate as before.  A key whose validate ever sees a changed
+iteration shape is poisoned and never cached again.  Custom objectives,
+restored runs and runs that are eager from the start bypass the cache.
+``info["plan"]`` records ``"hit"``, ``"miss"`` or ``"bypass:<reason>"``.
+
 The native step is bit-identical because it performs the *same sequence of
 float additions* on the clock as eager (the captured charges, in order) and
 the same IEEE operations on the swarm.  Profiler statistics are aggregated
@@ -65,10 +84,19 @@ eligible.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-__all__ = ["CapturedLaunch", "LaunchGraph", "IterationRunner", "trace_iteration"]
+__all__ = [
+    "CapturedLaunch",
+    "LaunchGraph",
+    "IterationRunner",
+    "trace_iteration",
+    "PLAN_CACHE_SIZE",
+    "clear_plan_cache",
+]
 
 
 #: One recorded launch: (kernel_name, section, n_elems, config, cost).
@@ -151,6 +179,60 @@ class LaunchGraph:
             bucket.add_many(cost, n_elems, replays)
 
 
+#: Verified plans kept per process; the least recently used is evicted.
+PLAN_CACHE_SIZE = 64
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A verified plan: the capture that promoted a run to the native tier,
+    and that run's traced warmup iteration (the per-run check on a hit)."""
+
+    graph: LaunchGraph
+    warmup: LaunchGraph
+
+
+# The cache is per process, not per engine: serving and batch build a
+# fresh engine for every job, and the jobs of one shape share its plan.
+#: Plan key -> :class:`_Plan`, in least-recently-used order.
+_plans: "OrderedDict[tuple, _Plan]" = OrderedDict()
+#: Keys that saw a data-dependent iteration shape; never cached again.
+_poisoned: set = set()
+#: Guards every update of the two above (runs may share a process's threads).
+_lock = threading.Lock()
+
+
+def clear_plan_cache() -> None:
+    """Forget every cached plan and poisoned key."""
+    with _lock:
+        _plans.clear()
+        _poisoned.clear()
+
+
+def _lookup(key: tuple) -> _Plan | None:
+    with _lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+        return plan
+
+
+def _store(key: tuple, plan: _Plan) -> None:
+    with _lock:
+        if key in _poisoned:
+            return
+        _plans[key] = plan
+        _plans.move_to_end(key)
+        while len(_plans) > PLAN_CACHE_SIZE:
+            _plans.popitem(last=False)
+
+
+def _poison(key: tuple) -> None:
+    with _lock:
+        _plans.pop(key, None)
+        _poisoned.add(key)
+
+
 def trace_iteration(engine, rng, run_body) -> LaunchGraph:
     """Run one eager iteration (*run_body*) with the clock trace and the
     launcher's capture sink attached, and return what it did."""
@@ -200,6 +282,8 @@ class IterationRunner:
         "graph",
         "_native",
         "_launcher",
+        "_key",
+        "_warmup",
         "info",
     )
 
@@ -221,6 +305,8 @@ class IterationRunner:
         self.phase = "eager" if eager_reason is not None else "warmup"
         self.graph: LaunchGraph | None = None
         self._native: Callable[[], None] | None = None
+        self._key: tuple | None = None
+        self._warmup: LaunchGraph | None = None
         ctx = getattr(engine, "ctx", None)
         self._launcher = getattr(ctx, "launcher", None)
         self.info = {
@@ -232,6 +318,8 @@ class IterationRunner:
             # demotion reason up front so fault drills and health guards
             # leave an auditable trail instead of a silent ``None``.
             "native": eager_reason,
+            # Plan-cache outcome: "hit", "miss" or "bypass:<reason>".
+            "plan": None if eager_reason is None else f"bypass:{eager_reason}",
         }
         engine.graph_info = self.info
 
@@ -254,10 +342,11 @@ class IterationRunner:
             self._native()
             self.info["replays"] += 1
             return
-        if phase in ("eager", "warmup"):
+        if phase == "eager":
             self._run_eager()
-            if phase == "warmup":
-                self.phase = "capture"
+            return
+        if phase == "warmup":
+            self._warmup_iteration(t)
             return
         if phase == "capture":
             self.graph = trace_iteration(self.engine, self.rng, self._run_eager)
@@ -266,6 +355,83 @@ class IterationRunner:
             return
         # phase == "validate"
         self._validate()
+
+    def _warmup_iteration(self, t: int) -> None:
+        """The warmup iteration, which also consults the plan cache.
+
+        A run with a cache key traces its warmup.  If the key holds a plan
+        whose warmup record this one equals (charges, launches, RNG
+        consumption and allocator delta), the run builds its own native
+        step from the cached capture and goes native from the next
+        iteration: the per-run check that replaces capture and validate.
+        Otherwise it continues into capture, and a validate that promotes
+        it stores its plan.
+        """
+        key = self._plan_key(t)
+        if isinstance(key, str):
+            self.info["plan"] = f"bypass:{key}"
+            self._run_eager()
+            self.phase = "capture"
+            return
+        seen = trace_iteration(self.engine, self.rng, self._run_eager)
+        plan = _lookup(key)
+        if (
+            plan is not None
+            and plan.warmup.matches(seen)
+            and plan.warmup.alloc_delta == seen.alloc_delta
+        ):
+            self.graph = plan.graph
+            native = self._build_native()
+            if not isinstance(native, str):
+                self._promote(native[0])
+                self.info["plan"] = "hit"
+                return
+            self.graph = None
+        self.info["plan"] = "miss"
+        self._key, self._warmup = key, seen
+        self.phase = "capture"
+
+    def _plan_key(self, t: int):
+        """The run's plan-cache key, or the reason it bypasses the cache.
+
+        The key holds everything the capture depends on: the engine's
+        graph-relevant options (``Engine._graph_plan_key``: class, backend,
+        precision, allocator kind, geometry, device spec, cost params), the
+        swarm shape, the built-in objective's name, dimension and bounds, and
+        the parameters with the seed zeroed.
+        """
+        from repro.core.schema import BuiltinEvaluation
+        from repro.functions.base import is_registered
+
+        if t != 0:
+            # Only a restored run starts past iteration 0: its resume pre-warm
+            # makes the warmup differ, so it takes the full ramp.
+            return "restored"
+        problem, state = self.problem, self.state
+        evaluator = problem.evaluator
+        if not (
+            isinstance(evaluator, BuiltinEvaluation)
+            and is_registered(evaluator.function)
+        ):
+            return "custom-objective"
+        engine_key = self.engine._graph_plan_key()
+        if engine_key is None:
+            return "engine-has-no-native-plan"
+        key = (
+            engine_key,
+            state.n_particles,
+            evaluator.function.name,
+            problem.dim,
+            problem.lower_bounds.tobytes(),
+            problem.upper_bounds.tobytes(),
+            replace(self.params, seed=0),
+        )
+        return "poisoned" if key in _poisoned else key
+
+    def _promote(self, step: Callable[[], None]) -> None:
+        self._native = step
+        self.phase = "native"
+        self.info["native"] = "active"
 
     def _validate(self) -> None:
         """The validate iteration, which also gates native promotion.
@@ -289,14 +455,18 @@ class IterationRunner:
             verified = native[1](run_reference)
         (seen,) = observed
         graph = self.graph
+        key, self._key, warmup, self._warmup = self._key, None, self._warmup, None
         if not graph.matches(seen):
-            # Data-dependent iteration shape: stay eager for this run.
+            # Data-dependent iteration shape: stay eager for this run, and
+            # never trust a cached plan for this key again.
+            if key is not None:
+                _poison(key)
             self.demote("iteration-shape-changed")
             return
         if verified and seen.alloc_delta == graph.alloc_delta:
-            self._native = native[0]
-            self.phase = "native"
-            self.info["native"] = "active"
+            self._promote(native[0])
+            if key is not None:
+                _store(key, _Plan(graph, warmup))
             return
         self.demote(native if isinstance(native, str) else "parity-mismatch")
 
@@ -331,6 +501,8 @@ class IterationRunner:
         self.info["eager_reason"] = reason
         if self.info["native"] in (None, "active"):
             self.info["native"] = reason
+        if self.info["plan"] is None:
+            self.info["plan"] = f"bypass:{reason}"
 
     def finalize(self) -> None:
         """Reconcile aggregated profiling for the native iterations."""

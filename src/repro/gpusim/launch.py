@@ -295,34 +295,13 @@ class Launcher:
         fault hook and no per-launch dispatch overhead.  ``dynamic=True``
         marks the clock charge as data-dependent for launch-graph capture.
         """
-        key = (kernel.spec, config, n_elems)
-        cached = (
-            self._launch_cache.get(key) if hostcache.cache_enabled() else None
-        )
-        if cached is not None:
-            config, cost = cached
-        else:
-            if config is None:
-                config = resource_aware_config(
-                    self.spec, max(1, n_elems), kernel_spec=kernel.spec
-                )
-            config.validate(self.spec, kernel.spec.shared_mem_per_block)
-            cost = kernel_cost(
-                self.spec, kernel.spec, config, n_elems, self.cost_params
-            )
-            if hostcache.cache_enabled():
-                self._launch_cache[key] = (config, cost)
+        config, cost = self.cost(kernel, n_elems, config=config)
         section = self.clock.current_section
         if dynamic:
             self.clock.advance_dynamic(cost.seconds)
         else:
             self.clock.advance(cost.seconds)
-        stats_key = (kernel.spec.name, section)
-        bucket = self.stats.get(stats_key)
-        if bucket is None:
-            bucket = LaunchStats(kernel_name=kernel.spec.name, section=section)
-            self.stats[stats_key] = bucket
-        bucket.add(cost, n_elems)
+        self.stats_row(kernel.spec.name, section).add(cost, n_elems)
         if self.record_launches:
             self.records.append(
                 LaunchRecord(
@@ -334,6 +313,39 @@ class Launcher:
                 )
             )
         return cost
+
+    def cost(
+        self, kernel: Kernel, n_elems: int, *, config: LaunchConfig | None = None
+    ) -> tuple[LaunchConfig, KernelCost]:
+        """The ``(config, cost)`` :meth:`charge` would apply, charging nothing.
+
+        Resolves the geometry (resource-aware when *config* is omitted),
+        validates it against the device and prices it through the launch
+        cache.
+        """
+        key = (kernel.spec, config, n_elems)
+        cached = (
+            self._launch_cache.get(key) if hostcache.cache_enabled() else None
+        )
+        if cached is not None:
+            return cached
+        if config is None:
+            config = resource_aware_config(
+                self.spec, max(1, n_elems), kernel_spec=kernel.spec
+            )
+        config.validate(self.spec, kernel.spec.shared_mem_per_block)
+        cost = kernel_cost(self.spec, kernel.spec, config, n_elems, self.cost_params)
+        if hostcache.cache_enabled():
+            self._launch_cache[key] = (config, cost)
+        return config, cost
+
+    def stats_row(self, kernel_name: str, section: str | None) -> LaunchStats:
+        """The aggregated profile row of *kernel_name* in *section*."""
+        bucket = self.stats.get((kernel_name, section))
+        if bucket is None:
+            bucket = LaunchStats(kernel_name=kernel_name, section=section)
+            self.stats[(kernel_name, section)] = bucket
+        return bucket
 
     def reset_records(self) -> None:
         """Drop all profiling state (both the stats and the opt-in log)."""

@@ -68,5 +68,20 @@ def tiny_scale():
 
 
 @pytest.fixture
+def fresh_plan_cache():
+    """An empty process-level launch-plan cache for the test, and after it.
+
+    Tests that pin a run's ramp (``captured_at``, ``replays``, the one
+    shadow verification on validate) need the run to miss the cache,
+    whatever ran before them.
+    """
+    from repro.gpusim.graph import clear_plan_cache
+
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
+
+
+@pytest.fixture
 def rng_np():
     return np.random.default_rng(1234)

@@ -26,6 +26,10 @@ from repro.gpusim.alloc import CachingAllocator, DirectAllocator, size_class
 from repro.gpusim.fastpath import ENV_GATE
 from repro.gpusim.graph import IterationRunner
 
+# These tests pin each run's ramp (capture, validate, replay counts), so
+# every run must miss the process-level plan cache.
+pytestmark = pytest.mark.usefixtures("fresh_plan_cache")
+
 #: Engines whose default configuration is native-eligible (global-memory
 #: float32 storage, global topology) across both engine families.
 NATIVE_ENGINES = ["fastpso", "fastpso-fused", "fastpso-seq", "fastpso-omp"]

@@ -22,6 +22,10 @@ from repro.gpusim import fastpath
 from repro.gpusim.graph import LaunchGraph
 from repro.gpusim.launch import LaunchStats
 
+# These tests pin each run's ramp (capture, validate, replay counts), so
+# every run must miss the process-level plan cache.
+pytestmark = pytest.mark.usefixtures("fresh_plan_cache")
+
 GRAPH_ENGINES = [
     "fastpso",
     "fastpso-shared",

@@ -21,6 +21,10 @@ from repro.reliability import (
     run_with_recovery,
 )
 
+# These tests pin each run's ramp (capture, validate, replay counts), so
+# every run must miss the process-level plan cache.
+pytestmark = pytest.mark.usefixtures("fresh_plan_cache")
+
 SPECS = (FaultSpec("device_lost", after=6),)
 
 

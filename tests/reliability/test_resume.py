@@ -23,6 +23,10 @@ from repro.errors import CheckpointError, InvalidParameterError
 from repro.gpusim import fastpath
 from repro.reliability import CheckpointManager, read_snapshot, resume
 
+# These tests pin each run's ramp (capture, validate, replay counts), so
+# every run must miss the process-level plan cache.
+pytestmark = pytest.mark.usefixtures("fresh_plan_cache")
+
 ENGINES = ["fastpso", "fastpso-seq"]
 
 
